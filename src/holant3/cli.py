@@ -3,8 +3,7 @@
 Every command reads structured-text inputs, emits exact values (never
 decimals) and returns distinct exit codes: 0 success, 2 unreadable or
 malformed input, 3 hardness refusal, 4 structural/domain violations.
-Output is deterministic: same input, same bytes, regardless of the
-worker count (HOLANT_WORKERS).
+Output is deterministic: same input, same bytes.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from .formats import (
     parse_signature,
 )
 from .gadgets import gadget_search
-from .grid import contract, holant
+from .grid import DEFAULT_EDGE_CAP, contract, holant
 from .interp import (
     _placeholder_ids,
     add_placeholder_on_edge,
@@ -35,7 +34,7 @@ from .interp import (
     stratify_holant_with_d,
     substitute_placeholder_matrix,
 )
-from .matchgates import holant_via_matchgates
+from .matchgates import solve_planar_moderate_cover
 from .planar import count_pm, enumerate_pm
 from .signatures import SymSig, normalize
 from .tractable import TractableInstance, solve
@@ -95,7 +94,7 @@ def cmd_classify(args) -> int:
 
 def cmd_eval(args) -> int:
     grid = parse_grid(_read_input(args.input))
-    value = holant(grid, max_edges=args.max_edges, workers=args.workers)
+    value = holant(grid, max_edges=args.max_edges)
     _emit({"holant": format_scalar(value)}, args.format)
     return EXIT_OK
 
@@ -104,14 +103,13 @@ def cmd_solve(args) -> int:
     grid = parse_grid(_read_input(args.input))
     f = _grid_signature(grid)
     inst = TractableInstance(grid, f)
-    value, cls = solve(inst, allow_brute_force=args.brute_force,
-                       max_edges=args.max_edges, workers=args.workers)
+    value, cls = solve(inst, allow_brute_force=args.brute_force, max_edges=args.max_edges)
     report = {"value": format_scalar(value), "verdict": cls.verdict}
     if cls.matched_case:
         report["case"] = cls.matched_case
     if args.oracle:
         if len(grid.edges) <= args.max_edges:
-            check = holant(grid, max_edges=args.max_edges, workers=args.workers)
+            check = holant(grid, max_edges=args.max_edges)
             if check != value:
                 raise AssertionError(f"oracle mismatch: solver {value}, brute force {check}")
             report["oracle"] = "match"
@@ -136,10 +134,10 @@ def cmd_pm_count(args) -> int:
 
 def cmd_solve_planar_cover(args) -> int:
     inst = parse_embedded_grid(_read_input(args.input))
-    value = holant_via_matchgates(inst)
+    value = solve_planar_moderate_cover(inst)
     report = {"cover_count": format_scalar(value)}
     if args.oracle:
-        check = holant(inst.grid, max_edges=args.max_edges, workers=args.workers)
+        check = holant(inst.grid, max_edges=args.max_edges)
         if check != value:
             raise AssertionError(f"oracle mismatch: matchgates {value}, brute force {check}")
         report["oracle"] = "match"
@@ -212,6 +210,8 @@ def cmd_interp_demo(args) -> int:
 def cmd_verify_identities(args) -> int:
     import random
 
+    if args.samples <= 0:
+        raise errors.ParseError(f"--samples must be positive, got {args.samples}")
     rng = random.Random(args.seed)
     fact = {"total": 0, "agree": 0}
     for _ in range(args.samples):
@@ -234,7 +234,7 @@ def cmd_verify_identities(args) -> int:
 
 def cmd_x3c_count(args) -> int:
     sets = parse_hypergraph(_read_input(args.input))
-    value = count_exact_covers(sets, max_edges=args.max_edges, workers=args.workers)
+    value = count_exact_covers(sets, max_edges=args.max_edges)
     report = {"exact_covers": format_scalar(value)}
     if args.oracle:
         check = brute_force_exact_covers(sets)
@@ -252,14 +252,16 @@ def build_parser() -> argparse.ArgumentParser:
                     "3-regular bipartite graphs.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_input=False):
+    def common(p, needs_input=False, max_edges=False, oracle=False):
         if needs_input:
             p.add_argument("--input", required=True, help="path to a JSON input file")
         p.add_argument("--format", choices=["text", "json"], default="text")
-        p.add_argument("--max-edges", type=int, default=24)
-        p.add_argument("--workers", type=int, default=None)
-        p.add_argument("--oracle", action="store_true",
-                       help="re-check the result against brute force")
+        if max_edges:
+            p.add_argument("--max-edges", type=int, default=DEFAULT_EDGE_CAP,
+                           help="edge cap of the brute-force evaluator")
+        if oracle:
+            p.add_argument("--oracle", action="store_true",
+                           help="re-check the result against an exponential reference")
 
     p = sub.add_parser("classify", help="dichotomy verdict for a ternary signature")
     p.add_argument("--signature", required=True)
@@ -267,26 +269,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("eval", help="brute-force partition function of a grid")
-    common(p, needs_input=True)
+    common(p, needs_input=True, max_edges=True)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("solve", help="polynomial-time solve or refuse")
-    common(p, needs_input=True)
+    common(p, needs_input=True, max_edges=True, oracle=True)
     p.add_argument("--brute-force", action="store_true",
                    help="fall back to the capped oracle on hard signatures")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("pm-count", help="weighted perfect matchings of a planar graph")
-    common(p, needs_input=True)
+    common(p, needs_input=True, oracle=True)
     p.set_defaults(func=cmd_pm_count)
 
     p = sub.add_parser("solve-planar-cover",
                        help="planar one-or-two cover count via matchgates")
-    common(p, needs_input=True)
+    common(p, needs_input=True, max_edges=True, oracle=True)
     p.set_defaults(func=cmd_solve_planar_cover)
 
     p = sub.add_parser("contract", help="contract a gadget to its signature")
-    common(p, needs_input=True)
+    common(p, needs_input=True, max_edges=True)
     p.set_defaults(func=cmd_contract)
 
     p = sub.add_parser("search-gadget", help="bounded exhaustive gadget search")
@@ -302,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="show the interpolation system on a demo grid")
     p.add_argument("--signature", required=True)
     p.add_argument("--occurrences", type=int, default=1)
-    common(p)
+    common(p, max_edges=True)
     p.set_defaults(func=cmd_interp_demo)
 
     p = sub.add_parser("verify-identities", help="run the case-analysis identity suites")
@@ -312,13 +314,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify_identities)
 
     p = sub.add_parser("x3c-count", help="exact 3-cover count of a set system")
-    common(p, needs_input=True)
+    common(p, needs_input=True, max_edges=True, oracle=True)
     p.set_defaults(func=cmd_x3c_count)
 
     return parser
 
 
 def main(argv=None) -> int:
+    # exact values may run past the interpreter's default int/str digit limit
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -14,7 +14,6 @@ and refuses grids above an edge cap.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -33,13 +32,6 @@ from .signatures import EQ3, SymSig, Tensor
 Port = tuple  # (vertex id, slot index)
 
 DEFAULT_EDGE_CAP = 24
-
-
-def _workers_from_env() -> int:
-    try:
-        return max(1, int(os.environ.get("HOLANT_WORKERS", "1")))
-    except ValueError:
-        return 1
 
 
 @dataclass
@@ -128,6 +120,28 @@ class SignatureGrid:
 
 
 Gadget = SignatureGrid
+
+
+def connected_components(vertices: Iterable, pairs: Iterable[tuple]) -> list[set]:
+    """Vertex sets of the connected components of the graph whose edges
+    join each (u, v) in pairs, in order of first vertex."""
+    adj: dict = {v: set() for v in vertices}
+    for u, v in pairs:
+        adj[u].add(v)
+        adj[v].add(u)
+    comps, seen = [], set()
+    for v in adj:
+        if v in seen:
+            continue
+        comp, stack = {v}, [v]
+        while stack:
+            for n in adj[stack.pop()]:
+                if n not in comp:
+                    comp.add(n)
+                    stack.append(n)
+        seen |= comp
+        comps.append(comp)
+    return comps
 
 
 # -- evaluation -------------------------------------------------------------
@@ -232,9 +246,9 @@ def _dfs(ctx: _EvalContext, start: int, masks: list, bits: list, partial: Scalar
     return total
 
 
-def _eval_closed(grid: SignatureGrid, seeds=(), prefix=()) -> Scalar:
+def _eval_closed(grid: SignatureGrid, seeds=()) -> Scalar:
     """Sum over assignments; seeds pre-assign (vid, slot, value) triples
-    (used for dangling patterns), prefix forces the first ordered edges."""
+    (used for dangling patterns)."""
     ctx = _EvalContext(grid)
     masks = [0] * len(ctx.vids)
     bits = [0] * len(ctx.vids)
@@ -254,50 +268,17 @@ def _eval_closed(grid: SignatureGrid, seeds=(), prefix=()) -> Scalar:
             partial = partial * value
         elif ctx.arity[vi] == 0:
             partial = partial * ctx.sigs[vi].value_at(0)
-    for pos, val in enumerate(prefix):
-        va, sa, vb, sb = ctx.ends[pos]
-        for vi, slot in ((va, sa), (vb, sb)):
-            masks[vi] |= 1 << slot
-            if val:
-                bits[vi] |= 1 << slot
-            full = (1 << ctx.arity[vi]) - 1
-            if masks[vi] == full:
-                value = ctx.sigs[vi].value_at(bits[vi])
-                if scalar_is_zero(value):
-                    return Fraction(0)
-                partial = partial * value
-            elif not ctx.viable(vi, masks[vi], bits[vi]):
-                return Fraction(0)
-    return _dfs(ctx, len(prefix), masks, bits, partial)
+    return _dfs(ctx, 0, masks, bits, partial)
 
 
-def _holant_task(args):
-    grid, prefix = args
-    return _eval_closed(grid, prefix=prefix)
-
-
-def holant(grid: SignatureGrid, max_edges: int = DEFAULT_EDGE_CAP, workers: int | None = None) -> Scalar:
+def holant(grid: SignatureGrid, max_edges: int = DEFAULT_EDGE_CAP) -> Scalar:
     """Exact partition function of a closed grid by brute-force
     enumeration of edge assignments."""
     if grid.dangling:
         raise DanglingPorts(f"{len(grid.dangling)} dangling ports; contract() instead")
     if len(grid.edges) > max_edges:
         raise TooManyEdges(f"{len(grid.edges)} edges exceeds cap {max_edges}")
-    if workers is None:
-        workers = _workers_from_env()
-    if workers <= 1 or len(grid.edges) < 6:
-        return demote(_eval_closed(grid))
-    # deterministic fan-out: fix the first k edges, sum chunks in order
-    k = min(len(grid.edges), max(1, (4 * workers - 1).bit_length()))
-    prefixes = [tuple((p >> i) & 1 for i in range(k)) for p in range(1 << k)]
-    from multiprocessing import get_context
-
-    with get_context("fork").Pool(processes=workers) as pool:
-        parts = pool.map(_holant_task, [(grid, pre) for pre in prefixes])
-    total = Fraction(0)
-    for part in parts:
-        total = total + part
-    return demote(total)
+    return demote(_eval_closed(grid))
 
 
 def contract(gadget: SignatureGrid, max_edges: int = DEFAULT_EDGE_CAP):

@@ -45,6 +45,7 @@ from .signatures import (
     SymSig,
     Tensor,
     jordan,
+    matrix_power,
     normalize,
     straddled_from_f,
 )
@@ -177,7 +178,7 @@ class StratifiedSystem:
 
 
 def stratify_holant_with_d(grid: SignatureGrid, f: SymSig, extra_lengths: int = 0,
-                           max_edges: int = 24, workers: int | None = None) -> StratifiedSystem:
+                           max_edges: int = 24) -> StratifiedSystem:
     """Evaluate the grid with every placeholder replaced by transfer
     chains of length s = 0..n(+extra) and solve the Vandermonde system
     over the strata. The extra lengths are not used for solving; they
@@ -194,7 +195,7 @@ def stratify_holant_with_d(grid: SignatureGrid, f: SymSig, extra_lengths: int = 
         g_s = grid
         for vid in d_ids:
             g_s = substitute_placeholder_chain(g_s, vid, form, s)
-        values.append(holant(g_s, max_edges=max_edges, workers=workers))
+        values.append(holant(g_s, max_edges=max_edges))
 
     lam, mu = jd.lam, jd.mu
     nodes = tuple(lam**i * mu ** (n - i) for i in range(n + 1))
@@ -206,13 +207,12 @@ def stratify_holant_with_d(grid: SignatureGrid, f: SymSig, extra_lengths: int = 
     return StratifiedSystem(n, lam, mu, nodes, tuple(values), tuple(coeffs))
 
 
-def interpolate_holant_with_d(grid: SignatureGrid, f: SymSig,
-                              max_edges: int = 24, workers: int | None = None) -> Scalar:
+def interpolate_holant_with_d(grid: SignatureGrid, f: SymSig, max_edges: int = 24) -> Scalar:
     """Holant of a grid whose placeholders stand for the projector D,
     recovered purely from placeholder-free evaluations."""
     if not _placeholder_ids(grid):
-        return holant(grid, max_edges=max_edges, workers=workers)
-    system = stratify_holant_with_d(grid, f, max_edges=max_edges, workers=workers)
+        return holant(grid, max_edges=max_edges)
+    system = stratify_holant_with_d(grid, f, max_edges=max_edges)
     return system.projector_value
 
 
@@ -256,7 +256,7 @@ def _decompose_row(vec, e_lam, e_mu):
 
 
 def interpolate_unary(grid: SignatureGrid, u_vertex_ids, m: Mat2, seed: SymSig,
-                      max_edges: int = 24, workers: int | None = None) -> Scalar:
+                      max_edges: int = 24) -> Scalar:
     """Holant of a grid containing a target unary on the R side at the
     listed vertices, recovered from evaluations with seed . M^j there.
 
@@ -277,7 +277,7 @@ def interpolate_unary(grid: SignatureGrid, u_vertex_ids, m: Mat2, seed: SymSig,
     if target.arity != 1:
         raise ArityMismatch("target vertices must be unary")
     if n == 0:
-        return holant(grid, max_edges=max_edges, workers=workers)
+        return holant(grid, max_edges=max_edges)
 
     lam, mu, e_lam, e_mu = _eigen_split(m)
     alpha, beta = _decompose_row(tuple(seed.values), e_lam, e_mu)
@@ -292,14 +292,9 @@ def interpolate_unary(grid: SignatureGrid, u_vertex_ids, m: Mat2, seed: SymSig,
             g.vertices[vid] = type(v)(SymSig(vec), v.polarities)
         return g
 
-    def row_times_power(vec, j):
-        out = list(vec)
-        for _ in range(j):
-            out = [out[0] * m[0][0] + out[1] * m[1][0], out[0] * m[0][1] + out[1] * m[1][1]]
-        return out
-
-    values = [holant(with_unary(row_times_power(seed.values, j)),
-                     max_edges=max_edges, workers=workers) for j in range(n + 1)]
+    seed_row = Mat2((seed.values, (0, 0)))   # seed . M^j is row 0 of this times M^j
+    values = [holant(with_unary((seed_row * matrix_power(m, j))[0]), max_edges=max_edges)
+              for j in range(n + 1)]
 
     # unknowns w_k = alpha^k beta^(n-k) h_k over nodes lam^k mu^(n-k)
     if scalar_is_zero(mu):

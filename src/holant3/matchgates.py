@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NotGenusZero, NotPlanarInstance, WrongSignatures
-from .exact import Scalar, demote, frac
+from .exact import frac
 from .grid import SignatureGrid
 from .planar import PlanarMultigraph, check_genus_zero, count_pm
 from .signatures import EQ3, SymSig, Tensor
@@ -206,12 +206,9 @@ def holographic_reduce(inst: EmbeddedGrid):
     return graph, scalar
 
 
-def holant_via_matchgates(inst: EmbeddedGrid) -> Scalar:
-    graph, scalar = holographic_reduce(inst)
-    return demote(scalar * count_pm(graph))
-
-
 def solve_planar_moderate_cover(inst: EmbeddedGrid) -> Fraction:
     """Count hyperedge subsets covering every vertex once or twice on a
-    planar 3-uniform 3-regular instance, in polynomial time."""
-    return frac(holant_via_matchgates(inst))
+    planar 3-uniform 3-regular instance, in polynomial time: the
+    partition function of the grid via its planar matching count."""
+    graph, scalar = holographic_reduce(inst)
+    return frac(scalar * count_pm(graph))

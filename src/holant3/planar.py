@@ -21,6 +21,7 @@ from fractions import Fraction
 
 from .errors import GridStructureError, NotGenusZero, NotSkewSymmetric
 from .exact import Scalar, demote, frac, scalar_is_zero
+from .grid import connected_components
 
 
 @dataclass
@@ -122,31 +123,11 @@ def trace_faces(g: PlanarMultigraph) -> list[list]:
     return faces
 
 
-def _components(g: PlanarMultigraph) -> list[set]:
-    adj = {v: set() for v in g.vertices}
-    for u, v, _ in g.edges:
-        adj[u].add(v)
-        adj[v].add(u)
-    comps, seen = [], set()
-    for v in g.vertices:
-        if v in seen:
-            continue
-        comp, stack = {v}, [v]
-        while stack:
-            for n in adj[stack.pop()]:
-                if n not in comp:
-                    comp.add(n)
-                    stack.append(n)
-        seen |= comp
-        comps.append(comp)
-    return comps
-
-
 def check_genus_zero(g: PlanarMultigraph) -> list[list]:
     """Faces of the embedding; raises NotGenusZero unless every
     component satisfies V - E + F = 2."""
     faces = trace_faces(g)
-    comps = _components(g)
+    comps = connected_components(g.vertices, ((u, v) for u, v, _ in g.edges))
     comp_of = {}
     for ci, comp in enumerate(comps):
         for v in comp:
@@ -204,7 +185,7 @@ def kasteleyn_orient(g: PlanarMultigraph, outer_face: int | None = None) -> list
     faces = check_genus_zero(g)
     if not g.edges:
         return []
-    if len(_components(g)) != 1:
+    if len(connected_components(g.vertices, ((u, v) for u, v, _ in g.edges))) != 1:
         raise NotGenusZero("orientation construction expects a connected graph")
     if outer_face is None:
         outer_face = max(range(len(faces)), key=lambda i: len(faces[i]))
@@ -373,7 +354,7 @@ def count_pm(g: PlanarMultigraph) -> Scalar:
     """Exact weighted perfect-matching sum over a genus-0 multigraph."""
     check_genus_zero(g)
     total: Scalar = Fraction(1)
-    for comp in _components(g):
+    for comp in connected_components(g.vertices, ((u, v) for u, v, _ in g.edges)):
         total = total * _count_pm_component(g, comp)
         if scalar_is_zero(total):
             return Fraction(0)

@@ -21,7 +21,7 @@ from fractions import Fraction
 from .errors import HardnessRefusal, NotDegenerate, WrongCase
 from .exact import scalar_is_zero
 from .dichotomy import FP, TernaryClassification, classify_ternary
-from .grid import SignatureGrid, holant
+from .grid import SignatureGrid, connected_components, holant
 from .signatures import EQ3, SymSig, decompose_degenerate, is_degenerate
 
 
@@ -51,29 +51,6 @@ class TractableInstance:
         return self.grid.vertex_ids_by_side("R")
 
 
-def _components(grid: SignatureGrid) -> list[set]:
-    adj: dict = {vid: set() for vid in grid.vertices}
-    for (va, _), (vb, _) in grid.edges:
-        adj[va].add(vb)
-        adj[vb].add(va)
-    seen: set = set()
-    comps = []
-    for vid in grid.vertices:
-        if vid in seen:
-            continue
-        comp = {vid}
-        stack = [vid]
-        while stack:
-            cur = stack.pop()
-            for nxt in adj[cur]:
-                if nxt not in comp:
-                    comp.add(nxt)
-                    stack.append(nxt)
-        seen |= comp
-        comps.append(comp)
-    return comps
-
-
 def solve_degenerate(inst: TractableInstance) -> Fraction:
     if not is_degenerate(inst.f):
         raise NotDegenerate(f"{inst.f} is not degenerate")
@@ -88,7 +65,8 @@ def solve_gen_equality(inst: TractableInstance) -> Fraction:
         raise WrongCase(f"{f} is not a generalized equality")
     total = Fraction(1)
     left = set(inst.left_ids())
-    for comp in _components(inst.grid):
+    pairs = ((a[0], b[0]) for a, b in inst.grid.edges)
+    for comp in connected_components(inst.grid.vertices, pairs):
         n_c = len(comp & left)
         total *= f[0] ** n_c + f[3] ** n_c
     return total
@@ -157,8 +135,7 @@ def solve_affine(inst: TractableInstance) -> Fraction:
 _SOLVERS = {1: solve_degenerate, 2: solve_gen_equality, 3: solve_affine}
 
 
-def solve(inst: TractableInstance, allow_brute_force: bool = False,
-          max_edges: int = 24, workers: int | None = None):
+def solve(inst: TractableInstance, allow_brute_force: bool = False, max_edges: int = 24):
     """Dispatch on the classification; raises HardnessRefusal on a
     #P-hard signature unless allow_brute_force opts into the capped
     exponential oracle. Returns (value, classification)."""
@@ -166,5 +143,5 @@ def solve(inst: TractableInstance, allow_brute_force: bool = False,
     if cls.verdict == FP:
         return _SOLVERS[cls.matched_case](inst), cls
     if allow_brute_force:
-        return holant(inst.grid, max_edges=max_edges, workers=workers), cls
+        return holant(inst.grid, max_edges=max_edges), cls
     raise HardnessRefusal(cls)

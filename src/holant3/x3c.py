@@ -52,19 +52,17 @@ def rx3c_to_grid(sets: Sequence[Sequence], element_sig: SymSig = EXACT_ONE) -> S
     return g
 
 
-def count_exact_covers(sets: Sequence[Sequence], max_edges: int = 24,
-                       workers: int | None = None) -> Fraction:
+def count_exact_covers(sets: Sequence[Sequence], max_edges: int = 24) -> Fraction:
     """Number of sub-multisets of `sets` covering every element exactly once."""
     grid = rx3c_to_grid(sets)
-    return holant(grid, max_edges=max_edges, workers=workers)
+    return holant(grid, max_edges=max_edges)
 
 
-def count_moderate_covers(sets: Sequence[Sequence], max_edges: int = 24,
-                          workers: int | None = None) -> Fraction:
+def count_moderate_covers(sets: Sequence[Sequence], max_edges: int = 24) -> Fraction:
     """Number of hyperedge subsets covering every element once or twice
     (brute-force reference for the planar pipeline)."""
     grid = rx3c_to_grid(sets, element_sig=SymSig([0, 1, 1, 0]))
-    return holant(grid, max_edges=max_edges, workers=workers)
+    return holant(grid, max_edges=max_edges)
 
 
 def brute_force_exact_covers(sets: Sequence[Sequence]) -> Fraction:

@@ -7,15 +7,31 @@ enumeration, Holant closures by explicit summation.
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
+import holant3
 from holant3.grid import SignatureGrid, bipartite_grid
 from holant3.planar import PlanarMultigraph, check_genus_zero, trace_faces
 from holant3.signatures import EQ3, SymSig
+
+
+def run_cli(args):
+    """Run the CLI in a fresh interpreter that imports the same holant3 as
+    the tests, whether it is installed or only on pytest's pythonpath.
+    Returns (exit code, stdout, stderr)."""
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(holant3.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-m", "holant3.cli", *args],
+                          capture_output=True, text=True, env=env)
+    return proc.returncode, proc.stdout, proc.stderr
 
 
 def rand_fraction(rng: random.Random, lo=-9, hi=9, den=9) -> Fraction:

@@ -5,10 +5,7 @@ PASS lines. Randomized suites are seeded, so outputs are reproducible.
 """
 
 import json
-import os
 import random
-import subprocess
-import sys
 import time
 from fractions import Fraction
 
@@ -27,8 +24,8 @@ from holant3.matchgates import (
     ONE_OR_TWO,
     crossing_gate,
     equality_gate,
-    holant_via_matchgates,
     matchgate_signature,
+    solve_planar_moderate_cover,
 )
 from holant3.planar import count_pm
 from holant3.signatures import EQ3, SymSig, hadamard_transform, jordan, straddled_from_f
@@ -42,6 +39,7 @@ from conftest import (
     rand_pure_grid,
     random_embedded_instance,
     random_planar_graph,
+    run_cli,
 )
 
 PAIRS_2x2 = [(0, 0), (0, 0), (0, 1), (1, 0), (1, 1), (1, 1)]
@@ -245,7 +243,7 @@ def test_acceptance_7_planar_stack():
     for _ in range(50):
         inst = random_embedded_instance(rng, ONE_OR_TWO, max_side=8)
         assert len(inst.grid.vertices) <= 16
-        assert holant_via_matchgates(inst) == holant(inst.grid)
+        assert solve_planar_moderate_cover(inst) == holant(inst.grid)
     elapsed = time.monotonic() - started
     assert elapsed < 120
     _report(7, "planar stack",
@@ -269,25 +267,12 @@ def test_acceptance_9_determinism(tmp_path):
     path = tmp_path / "grid.json"
     path.write_text(json.dumps(format_grid(grid)))
 
-    def run(workers=None):
-        env = dict(os.environ)
-        env.pop("HOLANT_WORKERS", None)
-        if workers:
-            env["HOLANT_WORKERS"] = str(workers)
-        outs = []
-        for cmd in (["eval", "--input", str(path), "--format", "json"],
-                    ["classify", "--signature", "[1,0,5,0]", "--format", "json"],
-                    ["verify-identities", "--samples", "40", "--format", "json"]):
-            proc = subprocess.run([sys.executable, "-m", "holant3.cli", *cmd],
-                                  capture_output=True, text=True, env=env)
-            outs.append((proc.returncode, proc.stdout))
-        return outs
+    def run():
+        return [run_cli(cmd)[:2] for cmd in (
+            ["eval", "--input", str(path), "--format", "json"],
+            ["classify", "--signature", "[1,0,5,0]", "--format", "json"],
+            ["verify-identities", "--samples", "40", "--format", "json"])]
 
-    first, second, fanned = run(), run(), run(workers=3)
-    assert first == second == fanned
-
-    rng1, rng2 = random.Random(109), random.Random(109)
-    v1 = holant(rand_pure_grid(rng1, SymSig([1, 2, 3, 4]), 3), workers=1)
-    v2 = holant(rand_pure_grid(rng2, SymSig([1, 2, 3, 4]), 3), workers=4)
-    assert v1 == v2
-    _report(9, "determinism", "byte-identical CLI runs, 1-vs-N workers agree")
+    first = run()
+    assert all(code == 0 for code, _ in first) and first == run()
+    _report(9, "determinism", "byte-identical CLI runs")

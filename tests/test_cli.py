@@ -1,26 +1,15 @@
 import json
-import os
-import subprocess
-import sys
+
+import pytest
 
 from holant3.cli import main
-from holant3.formats import format_embedded_grid, format_grid, format_planar_graph
+from holant3.formats import format_embedded_grid, format_grid, format_planar_graph, parse_scalar
 from holant3.grid import bipartite_grid
 from holant3.matchgates import ONE_OR_TWO
 from holant3.signatures import SymSig
-from conftest import random_planar_graph, theta_chain_grid
+from conftest import random_planar_graph, run_cli, theta_chain_grid
 
 PAIRS_2x2 = [(0, 0), (0, 0), (0, 1), (1, 0), (1, 1), (1, 1)]
-
-
-def run_cli(args, env_extra=None):
-    env = dict(os.environ)
-    env.pop("HOLANT_WORKERS", None)
-    if env_extra:
-        env.update(env_extra)
-    proc = subprocess.run([sys.executable, "-m", "holant3.cli", *args],
-                          capture_output=True, text=True, env=env)
-    return proc.returncode, proc.stdout, proc.stderr
 
 
 def test_classify_hard(capsys):
@@ -141,15 +130,57 @@ def test_verify_identities(capsys):
     assert "all_passed: yes" in out and "60/60" in out
 
 
-def test_outputs_deterministic_across_runs_and_workers(tmp_path):
+@pytest.mark.parametrize("samples", ["0", "-5"])
+def test_verify_identities_rejects_nonpositive_samples(samples):
+    code, out, err = run_cli(["verify-identities", "--samples", samples])
+    assert code == 2 and out == ""
+    assert "input error" in err and "Traceback" not in err
+
+
+def test_solve_value_past_int_str_digit_limit(tmp_path, capsys):
+    # [0,x,0,x] on K3,3: the 4 odd-weight assignments of the 3 equality
+    # variables each weigh x^3, so the value has 6001 digits
+    x = 10**2000
+    grid = bipartite_grid(SymSig([0, x, 0, x]), [(i, j) for i in range(3) for j in range(3)])
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps(format_grid(grid)))
+    assert main(["solve", "--input", str(path), "--oracle", "--format", "json"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["oracle"] == "match"
+    assert len(out["value"]) == 6001 and parse_scalar(out["value"]) == 4 * x**3
+
+
+ORACLE_COMMANDS = {"solve", "pm-count", "solve-planar-cover", "x3c-count"}
+MAX_EDGES_COMMANDS = {"eval", "solve", "solve-planar-cover", "contract", "interp-demo",
+                      "x3c-count"}
+
+
+@pytest.mark.parametrize("command", ["classify", "eval", "solve", "pm-count",
+                                     "solve-planar-cover", "contract", "search-gadget",
+                                     "interp-demo", "verify-identities", "x3c-count"])
+def test_each_command_takes_only_the_flags_it_reads(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    usage = capsys.readouterr().out
+    assert ("--oracle" in usage) == (command in ORACLE_COMMANDS)
+    assert ("--max-edges" in usage) == (command in MAX_EDGES_COMMANDS)
+    assert "--workers" not in usage
+
+
+@pytest.mark.parametrize("argv", [["classify", "--signature", "[0,1,1,0]", "--oracle"],
+                                  ["eval", "--input", "g.json", "--workers", "2"],
+                                  ["pm-count", "--input", "g.json", "--max-edges", "30"]])
+def test_unread_flags_are_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_outputs_deterministic_across_runs(tmp_path):
     grid = bipartite_grid(SymSig([1, 2, 4, 8]), PAIRS_2x2)
     path = tmp_path / "grid.json"
     path.write_text(json.dumps(format_grid(grid)))
-    runs = [
-        run_cli(["eval", "--input", str(path), "--format", "json"]),
-        run_cli(["eval", "--input", str(path), "--format", "json"]),
-        run_cli(["eval", "--input", str(path), "--format", "json"],
-                env_extra={"HOLANT_WORKERS": "3"}),
-    ]
-    outs = {(code, out) for code, out, _ in runs}
-    assert len(outs) == 1
+    runs = [run_cli(["eval", "--input", str(path), "--format", "json"]) for _ in range(2)]
+    assert runs[0][0] == 0 and runs[0][:2] == runs[1][:2]

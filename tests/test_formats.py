@@ -86,9 +86,9 @@ def test_planar_graph_round_trip():
 def test_embedded_grid_round_trip():
     inst = theta_chain_grid(2, ONE_OR_TWO)
     back = parse_embedded_grid(json.loads(json.dumps(format_embedded_grid(inst))))
-    from holant3.matchgates import holant_via_matchgates
+    from holant3.matchgates import solve_planar_moderate_cover
 
-    assert holant_via_matchgates(back) == holant_via_matchgates(inst) == 2
+    assert solve_planar_moderate_cover(back) == solve_planar_moderate_cover(inst) == 2
 
 
 def test_mixed_polarity_tensor_grid_round_trip():

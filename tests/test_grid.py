@@ -158,13 +158,6 @@ def test_disjoint_union_multiplies():
         assert holant(disjoint_union(g1, g2)) == holant(g1) * holant(g2)
 
 
-def test_workers_agree_with_serial():
-    rng = random.Random(16)
-    f = rand_nonneg_sig(rng)
-    g = rand_pure_grid(rng, f, 3)
-    assert holant(g, workers=1) == holant(g, workers=3)
-
-
 def test_edge_balance_of_pure_grids():
     rng = random.Random(17)
     g = rand_pure_grid(rng, SymSig([1, 1, 1, 1]), 3)

@@ -11,7 +11,6 @@ from holant3.matchgates import (
     Matchgate,
     crossing_gate,
     equality_gate,
-    holant_via_matchgates,
     holographic_reduce,
     matchgate_signature,
     solve_planar_moderate_cover,
@@ -62,20 +61,20 @@ def test_unweighted_star_gate_parity():
 def test_triple_edge_instance():
     inst = theta_chain_grid(1, ONE_OR_TWO)
     assert holant(inst.grid) == 0
-    assert holant_via_matchgates(inst) == 0
+    assert solve_planar_moderate_cover(inst) == 0
 
 
 def test_2x2_multigraph_instance_value_2():
     inst = theta_chain_grid(2, ONE_OR_TWO)
     assert holant(inst.grid) == 2
-    assert holant_via_matchgates(inst) == 2
+    assert solve_planar_moderate_cover(inst) == 2
 
 
 def test_randomized_holographic_identity():
     rng = random.Random(80)
     for _ in range(12):
         inst = random_embedded_instance(rng, ONE_OR_TWO, max_side=6)
-        assert holant_via_matchgates(inst) == holant(inst.grid)
+        assert solve_planar_moderate_cover(inst) == holant(inst.grid)
 
 
 def test_holographic_identity_via_transformed_signatures():
