@@ -67,6 +67,19 @@ def _emit(report: dict, fmt: str):
             print(f"{key}: {value}")
 
 
+# count flags and the least value each takes; below it a search, a
+# sample loop or an edge cap would run vacuously
+_COUNT_FLOORS = {"samples": 1, "occurrences": 1, "max_edges": 1, "max_f": 0, "max_eq": 0}
+
+
+def _check_counts(args):
+    for name, floor in _COUNT_FLOORS.items():
+        value = getattr(args, name, floor)
+        if value < floor:
+            flag = "--" + name.replace("_", "-")
+            raise errors.ParseError(f"{flag} must be at least {floor}, got {value}")
+
+
 def _grid_signature(grid) -> SymSig:
     sigs = {v.sig for v in grid.vertices.values()
             if all(p == "L" for p in v.polarities)}
@@ -210,8 +223,6 @@ def cmd_interp_demo(args) -> int:
 def cmd_verify_identities(args) -> int:
     import random
 
-    if args.samples <= 0:
-        raise errors.ParseError(f"--samples must be positive, got {args.samples}")
     rng = random.Random(args.seed)
     fact = {"total": 0, "agree": 0}
     for _ in range(args.samples):
@@ -327,6 +338,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_counts(args)
         return args.func(args)
     except (errors.ParseError, errors.FormatError) as e:
         print(f"input error: {e}", file=sys.stderr)

@@ -8,10 +8,12 @@ inputs, the Euler check is the guard.
 
 count_pm computes the weighted perfect-matching sum exactly: orient the
 edges so that every face but one has an odd number of darts running
-against the face walk, build the signed skew adjacency matrix, take its
-Pfaffian by skew elimination, and fix the global sign against one
-explicitly found perfect matching (negative weights make |Pf| alone
-insufficient).
+against the face walk, build the signed skew adjacency matrix, and take
+its Pfaffian by skew elimination. Such an orientation gives every
+perfect matching the same sign tau, so a second Pfaffian on the same
+orientation with unit weights equals tau times the number of perfect
+matchings: it is 0 exactly when there is none, and otherwise its sign
+is tau (negative weights make |Pf| alone insufficient).
 """
 
 from __future__ import annotations
@@ -290,65 +292,23 @@ def pfaffian(matrix) -> Scalar:
             result = -result
         p = a[k][k + 1]
         result = result * p
-        for j in range(k + 2, n):
-            for pivot_row, val in ((k + 1, a[k][j]), (k, a[k + 1][j])):
-                src = pivot_row
-                denom = a[k][k + 1] if src == k + 1 else a[k + 1][k]
-                c = val / denom
-                if scalar_is_zero(c):
-                    continue
-                for t in range(n):
-                    a[j][t] = a[j][t] - c * a[src][t]
-                for t in range(n):
-                    a[t][j] = a[t][j] - c * a[t][src]
+        # Pf(A) = p * Pf(S) with S the trailing block plus
+        # (a[k+1][i] a[k][j] - a[k][i] a[k+1][j]) / p; only indices that
+        # row k or row k+1 reaches change
+        rk, rk1 = a[k], a[k + 1]
+        live = [i for i in range(k + 2, n)
+                if not (scalar_is_zero(rk[i]) and scalar_is_zero(rk1[i]))]
+        for x, i in enumerate(live):
+            ci, di = rk1[i] / p, rk[i] / p
+            row = a[i]
+            for j in live[x + 1:]:
+                v = row[j] + ci * rk[j] - di * rk1[j]
+                row[j] = v
+                a[j][i] = -v
     return demote(result)
 
 
 # -- perfect matchings -------------------------------------------------------
-
-def _find_pm_edges(g: PlanarMultigraph):
-    """Backtracking search for a perfect matching; returns edge indices
-    or None. Edge weights are irrelevant here (the witness only fixes a
-    sign)."""
-    incident: dict = {v: [] for v in g.vertices}
-    for idx, (u, v, _) in enumerate(g.edges):
-        incident[u].append((idx, v))
-        incident[v].append((idx, u))
-    unmatched = set(g.vertices)
-
-    def rec():
-        if not unmatched:
-            return []
-        v = min(unmatched, key=str)
-        unmatched.discard(v)
-        tried = set()
-        for idx, w in incident[v]:
-            if w in unmatched and w not in tried:
-                tried.add(w)
-                unmatched.discard(w)
-                rest = rec()
-                if rest is not None:
-                    return [idx] + rest
-                unmatched.add(w)
-        unmatched.add(v)
-        return None
-
-    return rec()
-
-
-def _pairing_sign(pairs) -> int:
-    """Sign of the permutation (a1 b1 a2 b2 ...) with a_i < b_i and
-    a_1 < a_2 < ... (the Pfaffian expansion convention)."""
-    perm = []
-    for v, w in sorted((min(p), max(p)) for p in pairs):
-        perm.extend([v, w])
-    sign = 1
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                sign = -sign
-    return sign
-
 
 def count_pm(g: PlanarMultigraph) -> Scalar:
     """Exact weighted perfect-matching sum over a genus-0 multigraph."""
@@ -385,42 +345,25 @@ def enumerate_pm(g: PlanarMultigraph) -> Scalar:
 
 
 def _count_pm_component(g: PlanarMultigraph, comp: set) -> Scalar:
-    verts = sorted(comp, key=str)
-    if len(verts) % 2 == 1:
+    if len(comp) % 2 == 1:
         return Fraction(0)
-    if not verts:
-        return Fraction(1)
-
     sub = g.without_vertices(set(g.vertices) - comp)
-    witness = _find_pm_edges(sub)
-    if witness is None:
-        return Fraction(0)
     orientation = kasteleyn_orient(sub)
     index_of = {v: i for i, v in enumerate(sorted(sub.vertices, key=str))}
     n = len(sub.vertices)
-    a = [[Fraction(0)] * n for _ in range(n)]
+    weighted = [[Fraction(0)] * n for _ in range(n)]
+    unit = [[0] * n for _ in range(n)]
     for idx, (u, v, w) in enumerate(sub.edges):
         i, j = index_of[u], index_of[v]
-        if orientation[idx] == 0:
-            a[i][j] += w
-            a[j][i] -= w
-        else:
-            a[j][i] += w
-            a[i][j] -= w
-    pf = pfaffian(a)
-    if scalar_is_zero(pf):
+        if orientation[idx] == 1:
+            i, j = j, i
+        weighted[i][j] += w
+        weighted[j][i] -= w
+        unit[i][j] += 1
+        unit[j][i] -= 1
+    # every matching carries the same sign tau, so Pf(unit) = tau * #PM
+    signed_count = pfaffian(unit)
+    if scalar_is_zero(signed_count):
         return Fraction(0)
-
-    # every matching carries the same total sign tau = sgn(pairing) * prod
-    # of orientation signs; read tau off the witness matching
-    pairs = []
-    eps = 1
-    for idx in witness:
-        u, v, _ = sub.edges[idx]
-        i, j = index_of[u], index_of[v]
-        lo, hi = min(i, j), max(i, j)
-        pairs.append((lo, hi))
-        oriented_lo_hi = (orientation[idx] == 0) == (index_of[sub.edges[idx][0]] == lo)
-        eps = eps if oriented_lo_hi else -eps
-    tau = _pairing_sign(pairs) * eps
-    return demote(pf * tau)
+    pf = pfaffian(weighted)
+    return demote(pf if signed_count > 0 else -pf)

@@ -137,6 +137,22 @@ def test_verify_identities_rejects_nonpositive_samples(samples):
     assert "input error" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["search-gadget", "--signature", "[0,1,1,0]", "--target", "[3,2,2,3]", "--max-f", "-1"],
+    ["search-gadget", "--signature", "[0,1,1,0]", "--target", "[3,2,2,3]", "--max-eq", "-1"],
+    ["interp-demo", "--signature", "[1,2,3,4]", "--occurrences", "0"],
+    ["interp-demo", "--signature", "[1,2,3,4]", "--occurrences", "-2"],
+    ["eval", "--input", "g.json", "--max-edges", "0"],
+    ["x3c-count", "--input", "s.json", "--max-edges", "-3"],
+])
+def test_out_of_range_counts_are_input_errors(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    flag = next(a for a in argv if a in ("--max-f", "--max-eq", "--occurrences", "--max-edges"))
+    assert captured.out == ""
+    assert captured.err.startswith("input error:") and flag in captured.err
+
+
 def test_solve_value_past_int_str_digit_limit(tmp_path, capsys):
     # [0,x,0,x] on K3,3: the 4 odd-weight assignments of the 3 equality
     # variables each weigh x^3, so the value has 6001 digits

@@ -153,3 +153,9 @@ def test_moderate_cover_disjoint_union_multiplies():
     union = EmbeddedGrid(union_grid, rotations)
     assert solve_planar_moderate_cover(union) == \
         solve_planar_moderate_cover(a) * solve_planar_moderate_cover(b)
+
+@pytest.mark.parametrize("k, expected", [(50, 2), (51, 0)])
+def test_theta_chain_past_the_brute_force_cap(k, expected):
+    # each R_i fixes one bit and [0,1,1,0] makes neighbouring bits
+    # differ around the cycle: 2 covers for even k, none for odd k
+    assert solve_planar_moderate_cover(theta_chain_grid(k, ONE_OR_TWO)) == expected

@@ -1,6 +1,5 @@
 import random
 from fractions import Fraction
-from itertools import permutations
 
 import pytest
 
@@ -91,33 +90,52 @@ def test_pfaffian_rejects_non_skew():
         pfaffian([[1, 1], [-1, 0]])
 
 
-def _brute_det(m):
-    n = len(m)
-    total = Fraction(0)
-    for perm in permutations(range(n)):
-        sign = 1
-        for i in range(n):
-            for j in range(i + 1, n):
-                if perm[i] > perm[j]:
-                    sign = -sign
-        p = Fraction(sign)
-        for i in range(n):
-            p *= m[i][perm[i]]
-        total += p
-    return total
+def _gauss_det(m):
+    """Exact determinant by Fraction Gaussian elimination with row swaps."""
+    a = [[Fraction(v) for v in row] for row in m]
+    n = len(a)
+    det = Fraction(1)
+    for c in range(n):
+        r = next((r for r in range(c, n) if a[r][c] != 0), None)
+        if r is None:
+            return Fraction(0)
+        if r != c:
+            a[c], a[r] = a[r], a[c]
+            det = -det
+        det *= a[c][c]
+        for r in range(c + 1, n):
+            f = a[r][c] / a[c][c]
+            if f:
+                for t in range(c, n):
+                    a[r][t] -= f * a[c][t]
+    return det
+
+
+def _skew(n, entry):
+    m = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            m[i][j] = Fraction(entry(i, j))
+            m[j][i] = -m[i][j]
+    return m
 
 
 def test_pfaffian_squares_to_determinant():
     rng = random.Random(71)
-    for _ in range(5):
-        n = 8
-        m = [[Fraction(0)] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(i + 1, n):
-                v = Fraction(rng.randint(-4, 4))
-                m[i][j] = v
-                m[j][i] = -v
-        assert pfaffian(m) ** 2 == _brute_det(m)
+    for n in range(21):
+        dense = _skew(n, lambda i, j: rng.randint(-4, 4))
+        # mostly zero rows: the first pivot is often not at k+1
+        sparse = _skew(n, lambda i, j: rng.randint(-3, 3) if rng.random() < 0.2 else 0)
+        # u v^T - v u^T has rank 2: from n = 4 on its Pfaffian is 0 and
+        # elimination runs out of pivots by k = 2
+        u = [rng.randint(-3, 3) for _ in range(n)]
+        v = [rng.randint(-3, 3) for _ in range(n)]
+        rank2 = _skew(n, lambda i, j: u[i] * v[j] - v[i] * u[j])
+        for m in (dense, sparse, rank2):
+            assert pfaffian(m) ** 2 == _gauss_det(m)
+    # a[0][1] = 0 forces the pivot swap at k = 0
+    swap = [[0, 0, 2, 0], [0, 0, 0, 3], [-2, 0, 0, 0], [0, -3, 0, 0]]
+    assert pfaffian(swap) == -6 and _gauss_det(swap) == 36
 
 
 def test_count_pm_examples():
@@ -174,6 +192,28 @@ def test_count_pm_matches_enumeration_randomized():
     for _ in range(60):
         g = random_planar_graph(rng)
         assert count_pm(g) == enumerate_pm_oracle(g)
+
+
+def test_count_pm_deletion_identity_on_large_triangulation():
+    """PM(G) = PM(G with w_e = 0) + w_e * PM(G - u - v) at 64 vertices,
+    where the enumeration oracle is out of reach."""
+    rng = random.Random(74)
+    base = apollonian_graph(rng, 61)
+    assert len(base.vertices) == 64
+
+    def reweighted(weights):
+        return PlanarMultigraph(list(base.vertices),
+                                [(u, v, w) for (u, v, _), w in zip(base.edges, weights)],
+                                {x: list(r) for x, r in base.rotation.items()})
+
+    weights = [Fraction(rng.choice([-3, -2, -1, 1, 2, 3])) for _ in base.edges]
+    g = reweighted(weights)
+    total = count_pm(g)
+    assert total != 0
+    for idx in rng.sample(range(len(weights)), 4):
+        u, v, w = g.edges[idx]
+        zeroed = reweighted(weights[:idx] + [Fraction(0)] + weights[idx + 1:])
+        assert total == count_pm(zeroed) + w * count_pm(g.without_vertices({u, v}))
 
 
 def test_library_enumerator_agrees_with_oracle():
