@@ -124,7 +124,7 @@ def cmd_solve(args) -> int:
         if len(grid.edges) <= args.max_edges:
             check = holant(grid, max_edges=args.max_edges)
             if check != value:
-                raise AssertionError(f"oracle mismatch: solver {value}, brute force {check}")
+                raise AssertionError(f"oracle mismatch: solver {value}, evaluator {check}")
             report["oracle"] = "match"
         else:
             report["oracle"] = "skipped (over edge cap)"
@@ -152,7 +152,7 @@ def cmd_solve_planar_cover(args) -> int:
     if args.oracle:
         check = holant(inst.grid, max_edges=args.max_edges)
         if check != value:
-            raise AssertionError(f"oracle mismatch: matchgates {value}, brute force {check}")
+            raise AssertionError(f"oracle mismatch: matchgates {value}, evaluator {check}")
         report["oracle"] = "match"
     _emit(report, args.format)
     return EXIT_OK
@@ -269,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=["text", "json"], default="text")
         if max_edges:
             p.add_argument("--max-edges", type=int, default=DEFAULT_EDGE_CAP,
-                           help="edge cap of the brute-force evaluator")
+                           help="edge cap of the exact evaluator")
         if oracle:
             p.add_argument("--oracle", action="store_true",
                            help="re-check the result against an exponential reference")
@@ -279,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(func=cmd_classify)
 
-    p = sub.add_parser("eval", help="brute-force partition function of a grid")
+    p = sub.add_parser("eval", help="exact partition function of a grid")
     common(p, needs_input=True, max_edges=True)
     p.set_defaults(func=cmd_eval)
 

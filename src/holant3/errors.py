@@ -67,7 +67,8 @@ class ArityMismatch(HolantError):
 
 
 class TooManyEdges(HolantError):
-    """Brute-force evaluation refused above the edge cap."""
+    """Evaluation refused: more edges than the cap, or an elimination
+    table past its live-state limit."""
 
 
 class NonTernaryVertex(HolantError):

@@ -138,7 +138,8 @@ _SOLVERS = {1: solve_degenerate, 2: solve_gen_equality, 3: solve_affine}
 def solve(inst: TractableInstance, allow_brute_force: bool = False, max_edges: int = 24):
     """Dispatch on the classification; raises HardnessRefusal on a
     #P-hard signature unless allow_brute_force opts into the capped
-    exponential oracle. Returns (value, classification)."""
+    exact evaluator (exponential in its elimination width). Returns
+    (value, classification)."""
     cls: TernaryClassification = classify_ternary(inst.f)
     if cls.verdict == FP:
         return _SOLVERS[cls.matched_case](inst), cls

@@ -60,7 +60,7 @@ def count_exact_covers(sets: Sequence[Sequence], max_edges: int = 24) -> Fractio
 
 def count_moderate_covers(sets: Sequence[Sequence], max_edges: int = 24) -> Fraction:
     """Number of hyperedge subsets covering every element once or twice
-    (brute-force reference for the planar pipeline)."""
+    (grid-evaluator reference for the planar pipeline)."""
     grid = rx3c_to_grid(sets, element_sig=SymSig([0, 1, 1, 0]))
     return holant(grid, max_edges=max_edges)
 

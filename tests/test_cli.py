@@ -7,7 +7,7 @@ from holant3.formats import format_embedded_grid, format_grid, format_planar_gra
 from holant3.grid import bipartite_grid
 from holant3.matchgates import ONE_OR_TWO
 from holant3.signatures import SymSig
-from conftest import random_planar_graph, run_cli, theta_chain_grid
+from conftest import rand_pure_grid, random_planar_graph, run_cli, theta_chain_grid
 
 PAIRS_2x2 = [(0, 0), (0, 0), (0, 1), (1, 0), (1, 1), (1, 1)]
 
@@ -200,3 +200,41 @@ def test_outputs_deterministic_across_runs(tmp_path):
     path.write_text(json.dumps(format_grid(grid)))
     runs = [run_cli(["eval", "--input", str(path), "--format", "json"]) for _ in range(2)]
     assert runs[0][0] == 0 and runs[0][:2] == runs[1][:2]
+
+
+def test_eval_of_1200_edge_equality_grid(tmp_path, capsys):
+    """Every vertex is [1,0,0,1], so the Holant is 2 per connected
+    component; 1200 edges is far past any recursion depth."""
+    import random
+
+    grid = rand_pure_grid(random.Random(1200), SymSig([1, 0, 0, 1]), 400)
+    parent = {vid: vid for vid in grid.vertices}
+
+    def root(v):
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    for (a, _), (b, _) in grid.edges:
+        parent[root(a)] = root(b)
+    components = len({root(v) for v in grid.vertices})
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps(format_grid(grid)))
+    assert main(["eval", "--input", str(path), "--max-edges", "2000", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"holant": str(2 ** components)}
+
+
+def test_eval_past_live_state_limit_exits_4(tmp_path, capsys, monkeypatch):
+    import random
+
+    import holant3.grid as grid_module
+
+    grid = rand_pure_grid(random.Random(42), SymSig([1, 2, 3, 5]), 14)
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps(format_grid(grid)))
+    monkeypatch.setattr(grid_module, "MAX_LIVE_STATES", 16)
+    assert main(["eval", "--input", str(path), "--max-edges", "42"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("TooManyEdges:") and "live states" in captured.err

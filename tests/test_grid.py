@@ -13,8 +13,17 @@ from holant3.grid import (
     disjoint_union,
     holant,
 )
-from holant3.gadgets import build_transfer_gadget
-from holant3.signatures import EQ3, SymSig, sym_to_tensor
+import holant3.grid as grid_module
+from holant3.exact import QuadExt
+from holant3.gadgets import build_transfer_chain, build_transfer_gadget
+from holant3.signatures import (
+    EQ3,
+    SymSig,
+    Tensor,
+    matrix_power,
+    straddled_from_f,
+    sym_to_tensor,
+)
 from conftest import rand_nonneg_sig, rand_pure_grid
 
 PAIRS_2x2 = [(0, 0), (0, 0), (0, 1), (1, 0), (1, 1), (1, 1)]
@@ -166,11 +175,15 @@ def test_edge_balance_of_pure_grids():
     assert len(g.edges) == 3 * n_f == 3 * n_eq
 
 
-def _no_pruning_holant(grid):
-    """Reference summation without any zero short-circuiting."""
+def _no_pruning_holant(grid, pattern=0):
+    """Reference summation without any zero short-circuiting; dangling
+    port i, if any, is pinned to bit i of pattern."""
+    pinned = {vid: 0 for vid in grid.vertices}
+    for i, (vid, slot) in enumerate(grid.dangling):
+        pinned[vid] |= ((pattern >> i) & 1) << slot
     total = Fraction(0)
     for bits in range(1 << len(grid.edges)):
-        vertex_bits = {vid: 0 for vid in grid.vertices}
+        vertex_bits = dict(pinned)
         for i, (a, b) in enumerate(grid.edges):
             if (bits >> i) & 1:
                 vertex_bits[a[0]] |= 1 << a[1]
@@ -184,21 +197,31 @@ def _no_pruning_holant(grid):
 
 def _random_mixed_grid(rng):
     """Closed grid of random tensor vertices, any polarities, zero-heavy
-    and negative entries allowed; None when ports cannot pair up."""
-    from holant3.signatures import Tensor
-
+    and negative entries allowed, arity 0 included, some entries in
+    Q(sqrt(2)), and sometimes a vertex whose L and R ports share one
+    edge; None when ports cannot pair up."""
     g = SignatureGrid()
     lports, rports = [], []
+
+    def entry():
+        if rng.random() < 0.35:
+            return Fraction(0)
+        x = Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+        return QuadExt(x, rng.randint(-1, 1), 2) if rng.random() < 0.15 else x
+
     for i in range(rng.randint(2, 5)):
-        arity = rng.randint(1, 3)
+        arity = rng.randint(0, 3)
         pols = tuple(rng.choice("LR") for _ in range(arity))
-        entries = [Fraction(0) if rng.random() < 0.35
-                   else Fraction(rng.randint(-3, 3), rng.randint(1, 2))
-                   for _ in range(1 << arity)]
-        g.add_vertex(i, Tensor(arity, entries), pols)
+        g.add_vertex(i, Tensor(arity, [entry() for _ in range(1 << arity)]), pols)
         for s, p in enumerate(pols):
             (lports if p == "L" else rports).append((i, s))
-    if len(lports) != len(rports) or len(lports) > 12:
+    if rng.random() < 0.5:
+        pols = ("L", "R") + tuple(rng.choice("LR") for _ in range(rng.randint(0, 1)))
+        g.add_vertex("loop", Tensor(len(pols), [entry() for _ in range(1 << len(pols))]), pols)
+        g.add_edge(("loop", 0), ("loop", 1))
+        if len(pols) == 3:
+            (lports if pols[2] == "L" else rports).append(("loop", 2))
+    if len(lports) != len(rports) or len(lports) > 11:
         return None
     rng.shuffle(rports)
     for lp, rp in zip(lports, rports):
@@ -208,13 +231,58 @@ def _random_mixed_grid(rng):
 
 
 def test_pruned_evaluator_matches_no_pruning_reference():
-    """The viability pruning must never change a value, including on
-    tensors riddled with zeros and sign flips."""
+    """Elimination equals the explicit sum over every edge assignment,
+    including tensors riddled with zeros and sign flips, arity-0
+    vertices, radical entries and an edge joining two ports of one
+    vertex."""
     rng = random.Random(18)
-    checked = 0
-    while checked < 60:
+    checked, seen = 0, {"arity0": 0, "loop": 0, "radical": 0}
+    while checked < 150:
         g = _random_mixed_grid(rng)
         if g is None:
             continue
         assert holant(g) == _no_pruning_holant(g)
         checked += 1
+        sigs = [v.sig for v in g.vertices.values()]
+        seen["arity0"] += any(s.arity == 0 for s in sigs)
+        seen["loop"] += "loop" in g.vertices
+        seen["radical"] += any(isinstance(x, QuadExt) for s in sigs for x in s.entries)
+    assert min(seen.values()) >= 10, seen
+
+
+def test_contract_equals_closing_each_pattern_with_point_unaries():
+    """Tensor entry p is the Holant of the gadget with each dangling
+    port i pinned by the unary [1,0] or [0,1] that bit i of p picks."""
+    rng = random.Random(19)
+    pins = (SymSig([1, 0]), SymSig([0, 1]))
+    checked = 0
+    while checked < 40:
+        gadget = _random_gadget(rng, SymSig([rng.randint(-2, 3) for _ in range(4)]))
+        d = len(gadget.dangling)
+        if not 1 <= d <= 6:
+            continue
+        tensor, _ = contract(gadget)
+        for p in range(1 << d):
+            closed = close_with_unaries(gadget, [pins[(p >> i) & 1] for i in range(d)])
+            assert tensor.value_at(p) == holant(closed) == _no_pruning_holant(gadget, p)
+        checked += 1
+
+
+def test_long_transfer_chain_contracts_to_matrix_power():
+    """A length-40 chain (119 edges) contracts in one pass to the 40th
+    power of the straddled matrix."""
+    f = SymSig([Fraction(1, 2), 3, -1, Fraction(5, 3)])
+    tensor, pols = contract(build_transfer_chain(f, 40), max_edges=119)
+    m = matrix_power(straddled_from_f(f), 40)
+    assert pols == ("L", "R")
+    assert (tensor.value_at(0b00), tensor.value_at(0b10),
+            tensor.value_at(0b01), tensor.value_at(0b11)) == (
+        m[0][0], m[0][1], m[1][0], m[1][1])
+
+
+def test_live_state_limit_refuses_with_too_many_edges(monkeypatch):
+    g = rand_pure_grid(random.Random(42), SymSig([1, 2, 3, 5]), 14)
+    assert holant(g, max_edges=42) > 0
+    monkeypatch.setattr(grid_module, "MAX_LIVE_STATES", 16)
+    with pytest.raises(TooManyEdges, match="live states"):
+        holant(g, max_edges=42)
