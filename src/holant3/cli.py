@@ -9,6 +9,7 @@ Output is deterministic: same input, same bytes.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -81,11 +82,11 @@ def _check_counts(args):
 
 
 def _grid_signature(grid) -> SymSig:
-    sigs = {v.sig for v in grid.vertices.values()
-            if all(p == "L" for p in v.polarities)}
-    if len(sigs) != 1:
+    left = [v.sig for v in grid.vertices.values() if all(p == "L" for p in v.polarities)]
+    # identity first: parse_grid gives the vertices of one spec one object
+    if not left or any(s is not left[0] and s != left[0] for s in left):
         raise errors.FormatError("left side must carry exactly one signature")
-    sig = sigs.pop()
+    sig = left[0]
     if not isinstance(sig, SymSig):
         raise errors.FormatError("left signature must be symmetric")
     return sig
@@ -331,12 +332,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """Built once per process: parse_args leaves the tree unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
     # exact values may run past the interpreter's default int/str digit limit
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         _check_counts(args)
         return args.func(args)

@@ -105,10 +105,16 @@ def parse_grid(obj) -> SignatureGrid:
         except json.JSONDecodeError as e:
             raise ParseError(f"bad grid JSON: {e}") from e
     g = SignatureGrid()
+    sigs: dict = {}            # one parsed signature per distinct spec
     try:
         for vspec in obj["vertices"]:
             vid = vspec["id"]
-            sig = _parse_vertex_sig(vspec["sig"])
+            spec = vspec["sig"]
+            # a list or dict keys by type and repr, apart from any text spec
+            key = spec if isinstance(spec, str) else (type(spec), repr(spec))
+            sig = sigs.get(key)
+            if sig is None:
+                sig = sigs[key] = _parse_vertex_sig(spec)
             side = vspec.get("side", "L")
             if side == "mixed":
                 polarity = tuple(vspec["polarities"])

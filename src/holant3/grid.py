@@ -67,7 +67,7 @@ class SignatureGrid:
         if isinstance(polarity, str):
             if arity is None:
                 raise GridStructureError("polarity string form needs a signature with arity")
-            polarities = tuple(polarity for _ in range(arity))
+            polarities = (polarity,) * arity
         else:
             polarities = tuple(polarity)
         if arity is not None and len(polarities) != arity:
@@ -96,27 +96,31 @@ class SignatureGrid:
         return self.vertices[vid].polarities[slot]
 
     def validate(self) -> None:
-        seen = set()
+        """One pass over the edge and dangling ports; every port is then
+        wired or dangling exactly when the ports used number all ports."""
+        vertices, seen = self.vertices, set()
 
-        def use(port, where):
+        def side(port, where):
             vid, slot = port
-            if vid not in self.vertices:
+            v = vertices.get(vid)
+            if v is None:
                 raise GridStructureError(f"{where}: unknown vertex {vid!r}")
-            if not 0 <= slot < self.vertices[vid].arity:
+            if not 0 <= slot < len(v.polarities):
                 raise GridStructureError(f"{where}: slot {slot} out of range for {vid!r}")
             if port in seen:
                 raise GridStructureError(f"{where}: port {port} used twice")
             seen.add(port)
+            return v.polarities[slot]
 
         for a, b in self.edges:
-            use(a, "edge")
-            use(b, "edge")
-            pa, pb = self.polarity_of(a), self.polarity_of(b)
-            if {pa, pb} != {"L", "R"}:
+            pa, pb = side(a, "edge"), side(b, "edge")
+            if (pa, pb) not in (("L", "R"), ("R", "L")):
                 raise PolarityError(f"edge {a}-{b} joins {pa} to {pb}")
         for p in self.dangling:
-            use(p, "dangling")
-        for vid, v in self.vertices.items():
+            side(p, "dangling")
+        if len(seen) == sum(len(v.polarities) for v in vertices.values()):
+            return
+        for vid, v in vertices.items():
             for slot in range(v.arity):
                 if (vid, slot) not in seen:
                     raise GridStructureError(f"port ({vid!r},{slot}) neither wired nor dangling")

@@ -1,16 +1,18 @@
 """Polynomial-time solvers for every tractable case, plus a dispatcher.
 
 Instances are closed grids with one ternary signature f on the whole
-left side and ternary equality on the whole right side. Each solver is
-closed-form or near-linear:
+left side and ternary equality on the whole right side. The first two
+solvers are linear in the grid, the affine one is one GF(2) elimination:
 
 * degenerate f = u (x) u (x) u: every equality vertex absorbs three
   copies of u and contributes u0^3 + u1^3 = x0 + x3 independently.
 * generalized equality [x0,0,0,x3]: all edges of a connected component
   are forced equal, giving x0^{n_c} + x3^{n_c} per component.
-* affine [x0,0,x0,0] / [0,x1,0,x1]: a GF(2) system over edge variables
-  (two equalities per equality vertex, one parity per f vertex) counted
-  by rank.
+* affine [x0,0,x0,0] / [0,x1,0,x1]: a GF(2) system over the edges, two
+  equalities per equality vertex and one parity per f vertex. The 2|R|
+  equalities sit on disjoint edge triples, and modulo their span each
+  edge is its equality vertex's variable, so rank = 2|R| + rank(M) with
+  M the |L| x |R| quotient: one parity row per f vertex.
 """
 
 from __future__ import annotations
@@ -33,11 +35,12 @@ class TractableInstance:
     def __post_init__(self):
         self.grid.validate()
         for vid, v in self.grid.vertices.items():
+            # identity first: parse_grid gives the vertices of one spec one object
             if all(p == "L" for p in v.polarities):
-                if v.sig != self.f:
+                if v.sig is not self.f and v.sig != self.f:
                     raise WrongCase(f"left vertex {vid!r} does not carry f")
             elif all(p == "R" for p in v.polarities):
-                if v.sig != EQ3:
+                if v.sig is not EQ3 and v.sig != EQ3:
                     raise WrongCase(f"right vertex {vid!r} does not carry ternary equality")
             else:
                 raise WrongCase(f"vertex {vid!r} mixes polarities")
@@ -72,30 +75,15 @@ def solve_gen_equality(inst: TractableInstance) -> Fraction:
     return total
 
 
-def _xor_rank(rows) -> int:
-    basis: dict[int, int] = {}
-    for row in rows:
-        cur = row
-        while cur:
-            hb = cur.bit_length()
-            b = basis.get(hb)
-            if b is None:
-                basis[hb] = cur
-                break
-            cur ^= b
-    return len(basis)
-
-
-def _gf2_rank_and_consistency(rows: list[int], aug_bit: int):
-    """Rank of the homogeneous part and solvability of the augmented
-    int-bitset system (augmentation flag in aug_bit)."""
-    rank_aug = _xor_rank(rows)
-    rank_hom = _xor_rank(r & ~aug_bit for r in rows)
-    return rank_hom, rank_aug == rank_hom
-
-
 def solve_affine(inst: TractableInstance) -> Fraction:
-    """Parity signatures: x0 * [1,0,1,0] (even) or x1 * [0,1,0,1] (odd)."""
+    """Parity signatures: x0 * [1,0,1,0] (even) or x1 * [0,1,0,1] (odd).
+
+    One equation per f vertex over one variable per equality vertex: the
+    sum of its neighbours (a double edge cancels) equals the parity. That
+    gives scale^|L| * 2^(|R| - rank M), or 0 when inconsistent. Bit 0 of
+    a row holds the right-hand side, so one elimination with top-bit
+    pivots finds the rank and any row that reduces to 0 = 1.
+    """
     f = inst.f
     even_form = scalar_is_zero(f[1]) and scalar_is_zero(f[3]) and f[0] == f[2]
     odd_form = scalar_is_zero(f[0]) and scalar_is_zero(f[2]) and f[1] == f[3]
@@ -104,32 +92,26 @@ def solve_affine(inst: TractableInstance) -> Fraction:
     scale = f[0] if even_form else f[1]
     if scalar_is_zero(scale):
         return Fraction(0) if inst.grid.vertices else Fraction(1)
-    parity = 0 if even_form else 1
 
-    n_edges = len(inst.grid.edges)
-    aug_bit = 1 << n_edges
-    incident: dict = {vid: [] for vid in inst.grid.vertices}
-    for idx, ((va, _), (vb, _)) in enumerate(inst.grid.edges):
-        incident[va].append(idx)
-        incident[vb].append(idx)
-
-    rows = []
-    for vid in inst.right_ids():
-        e = incident[vid]
-        rows.append((1 << e[0]) | (1 << e[1]))
-        rows.append((1 << e[1]) | (1 << e[2]))
-    for vid in inst.left_ids():
-        row = 0
-        for idx in incident[vid]:
-            row ^= 1 << idx
-        if parity:
-            row |= aug_bit
-        rows.append(row)
-
-    rank, consistent = _gf2_rank_and_consistency(rows, aug_bit)
-    if not consistent:
-        return Fraction(0)
-    return scale ** len(inst.left_ids()) * Fraction(2) ** (n_edges - rank)
+    var = {vid: 2 << j for j, vid in enumerate(inst.right_ids())}
+    rows = dict.fromkeys(inst.left_ids(), 0 if even_form else 1)
+    for (va, _), (vb, _) in inst.grid.edges:     # every edge joins an f and an equality vertex
+        if va in var:
+            rows[vb] ^= var[va]
+        else:
+            rows[va] ^= var[vb]
+    pivots: dict = {}                            # top bit -> row
+    for row in rows.values():
+        while row > 1:
+            top = row.bit_length()
+            pivot = pivots.get(top)
+            if pivot is None:
+                pivots[top] = row
+                break
+            row ^= pivot
+        if row == 1:
+            return Fraction(0)
+    return scale ** len(rows) * Fraction(2) ** (len(var) - len(pivots))
 
 
 _SOLVERS = {1: solve_degenerate, 2: solve_gen_equality, 3: solve_affine}

@@ -17,6 +17,7 @@ from itertools import combinations
 import pytest
 
 import holant3
+from holant3.formats import format_grid
 from holant3.grid import SignatureGrid, bipartite_grid
 from holant3.planar import PlanarMultigraph, check_genus_zero, trace_faces
 from holant3.signatures import EQ3, SymSig
@@ -40,6 +41,16 @@ def rand_fraction(rng: random.Random, lo=-9, hi=9, den=9) -> Fraction:
 
 def rand_positive(rng: random.Random, hi=9, den=9) -> Fraction:
     return Fraction(rng.randint(1, hi), rng.randint(1, den))
+
+
+def left_specs_grid_obj(specs):
+    """JSON for a connected 3+3-vertex grid with EQ3 on the right, double
+    edges and left vertex ("f", i) carrying the signature spec specs[i]."""
+    pairs = [(0, 0), (0, 0), (0, 1), (1, 0), (1, 1), (1, 2), (2, 1), (2, 2), (2, 2)]
+    obj = format_grid(bipartite_grid(SymSig([2, 0, 2, 0]), pairs))
+    for vert, spec in zip((v for v in obj["vertices"] if v["side"] == "L"), specs):
+        vert["sig"] = spec
+    return obj
 
 
 def rand_nonneg_sig(rng: random.Random, arity=3) -> SymSig:

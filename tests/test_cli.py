@@ -2,12 +2,19 @@ import json
 
 import pytest
 
-from holant3.cli import main
+import holant3.cli as cli
+from holant3.cli import build_parser, main
 from holant3.formats import format_embedded_grid, format_grid, format_planar_graph, parse_scalar
 from holant3.grid import bipartite_grid
 from holant3.matchgates import ONE_OR_TWO
 from holant3.signatures import SymSig
-from conftest import rand_pure_grid, random_planar_graph, run_cli, theta_chain_grid
+from conftest import (
+    left_specs_grid_obj,
+    rand_pure_grid,
+    random_planar_graph,
+    run_cli,
+    theta_chain_grid,
+)
 
 PAIRS_2x2 = [(0, 0), (0, 0), (0, 1), (1, 0), (1, 1), (1, 1)]
 
@@ -238,3 +245,52 @@ def test_eval_past_live_state_limit_exits_4(tmp_path, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("TooManyEdges:") and "live states" in captured.err
+
+
+def _write_left_specs(tmp_path, specs):
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps(left_specs_grid_obj(specs)))
+    return str(path)
+
+
+@pytest.mark.parametrize("specs", [
+    ["[2,0,2,0]", "[4/2,0,2,0]", "[2,0,2,0]"],
+    [{"arity": 3, "weights": ["2", "0", "2", "0"]}, [2, 0, 2, 0], "[2,0,2,0]"],
+])
+def test_solve_treats_equal_left_specs_as_one_signature(specs, tmp_path, capsys):
+    path = _write_left_specs(tmp_path, specs)
+    assert main(["solve", "--input", path, "--format", "json", "--oracle"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["case"] == 3 and out["oracle"] == "match"
+
+
+@pytest.mark.parametrize("specs, message", [
+    (["[2,0,2,0]", "[2,0,2,0]", "[3,0,3,0]"], "left side must carry exactly one signature"),
+    (["[2,0,2,0]", "[2,zebra,2,0]", "[2,0,2,0]"], "bad rational"),
+])
+def test_solve_rejects_bad_left_specs(specs, message, tmp_path, capsys):
+    path = _write_left_specs(tmp_path, specs)
+    assert main(["solve", "--input", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and message in err
+
+
+def test_argument_parser_is_built_once(tmp_path, capsys, monkeypatch):
+    built = []
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build_parser())
+    cli._parser.cache_clear()
+    try:
+        path = _write_left_specs(tmp_path, ["[2,0,2,0]"] * 3)
+        assert main(["solve", "--input", path, "--format", "json"]) == 0
+        with pytest.raises(SystemExit):
+            main(["eval", "--input", path, "--oracle"])
+        assert main(["eval", "--input", path, "--format", "json"]) == 0
+        assert main(["classify", "--signature", "[1,0,1,0]"]) == 0
+        assert len(built) == 1
+        captured = capsys.readouterr()
+        solve_out, eval_out, classify_out = captured.out.splitlines()[:3]
+        assert json.loads(solve_out)["value"] == json.loads(eval_out)["holant"]
+        assert classify_out == "signature: [1,0,1,0]"
+        assert "unrecognized arguments: --oracle" in captured.err
+    finally:
+        cli._parser.cache_clear()

@@ -23,7 +23,7 @@ from holant3.formats import (
 from holant3.grid import bipartite_grid, contract, holant
 from holant3.planar import count_pm
 from holant3.signatures import EQ3, SymSig
-from conftest import random_planar_graph, theta_chain_grid
+from conftest import left_specs_grid_obj, random_planar_graph, theta_chain_grid
 from holant3.matchgates import ONE_OR_TWO
 
 
@@ -129,3 +129,20 @@ def test_eq3_alias():
     })
     assert g.vertices["b"].sig == EQ3
     assert holant(g) == 2
+
+
+def test_vertices_with_one_spec_share_one_signature():
+    g = parse_grid(left_specs_grid_obj(["[2,0,2,0]", "[2,0,2,0]", "[4/2,0,2,0]"]))
+    sigs = [g.vertices[("f", i)].sig for i in range(3)]
+    assert sigs[0] is sigs[1] and sigs[2] is not sigs[0] and sigs[2] == sigs[0]
+    assert all(g.vertices[("eq", j)].sig is EQ3 for j in range(3))
+    # dict and list specs parse, and a list never reuses a text spec's entry
+    specs = [{"arity": 3, "weights": ["2", "0", "2", "0"]}, [2, 0, 2, 0], "[2, 0, 2, 0]"]
+    g = parse_grid(left_specs_grid_obj(specs))
+    assert all(g.vertices[("f", i)].sig == SymSig([2, 0, 2, 0]) for i in range(3))
+    g = parse_grid(left_specs_grid_obj(["[1, 2, 3, 4]", [1, 2, 3, 4], [1, 2, 3, 4]]))
+    assert g.vertices[("f", 1)].sig is g.vertices[("f", 2)].sig == SymSig([1, 2, 3, 4])
+    with pytest.raises(ParseError):
+        parse_grid(left_specs_grid_obj(["[2,0,2,0]", "[2,zebra,2,0]", "[2,0,2,0]"]))
+    with pytest.raises(ParseError):
+        parse_grid(left_specs_grid_obj([["1", "2"], "['1', '2']", "[2,0,2,0]"]))

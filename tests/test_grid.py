@@ -3,7 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from holant3.errors import DanglingPorts, NonTernaryVertex, PolarityError, TooManyEdges
+from holant3.errors import (
+    DanglingPorts,
+    GridStructureError,
+    NonTernaryVertex,
+    PolarityError,
+    TooManyEdges,
+)
 from holant3.grid import (
     SignatureGrid,
     bipartite_grid,
@@ -49,6 +55,45 @@ def test_polarity_rejected():
     g.add_edge(("a", 0), ("b", 0))
     with pytest.raises(PolarityError):
         g.validate()
+
+
+def _two_vertex_grid(edges, dangling=()):
+    """'a' (L) and 'b' (R), both binary, with the given edges and dangling ports."""
+    g = SignatureGrid()
+    g.add_vertex("a", SymSig([1, 1, 1]), "L")
+    g.add_vertex("b", SymSig([1, 1, 1]), "R")
+    for e in edges:
+        g.add_edge(*e)
+    for p in dangling:
+        g.mark_dangling(p)
+    return g
+
+
+@pytest.mark.parametrize("edges, dangling, message", [
+    ([(("a", 0), ("z", 0)), (("a", 1), ("b", 1))], [("b", 0)], "edge: unknown vertex 'z'"),
+    ([(("a", 0), ("b", 0)), (("a", 1), ("b", 1))], [("z", 0)], "dangling: unknown vertex 'z'"),
+    ([(("a", 0), ("b", 2)), (("a", 1), ("b", 1))], [("b", 0)], "edge: slot 2 out of range"),
+    ([(("a", -1), ("b", 0)), (("a", 1), ("b", 1))], [("a", 0)], "edge: slot -1 out of range"),
+    ([(("a", 0), ("b", 0)), (("a", 1), ("b", 1))], [("a", 5)], "dangling: slot 5 out of range"),
+    ([(("a", 0), ("b", 0)), (("a", 0), ("b", 1))], [("a", 1)], "edge: port ('a', 0) used twice"),
+    ([(("a", 0), ("b", 0)), (("a", 1), ("b", 1))], [("b", 1)], "dangling: port ('b', 1) used twice"),
+    ([(("a", 0), ("b", 0))], [("a", 1)], "port ('b',1) neither wired nor dangling"),
+    ([(("a", 0), ("b", 0))], [], "port ('a',1) neither wired nor dangling"),
+])
+def test_each_structure_fault_is_reported(edges, dangling, message):
+    with pytest.raises(GridStructureError) as exc:
+        _two_vertex_grid(edges, dangling).validate()
+    assert type(exc.value) is GridStructureError and str(exc.value).startswith(message)
+
+
+@pytest.mark.parametrize("edges", [
+    [(("a", 0), ("a", 1)), (("b", 0), ("b", 1))],
+    [(("b", 0), ("b", 1)), (("a", 0), ("a", 1))],
+])
+def test_same_side_edges_are_polarity_errors(edges):
+    with pytest.raises(PolarityError, match="joins (L to L|R to R)"):
+        _two_vertex_grid(edges).validate()
+    _two_vertex_grid([(("b", 0), ("a", 1)), (("a", 0), ("b", 1))]).validate()
 
 
 def test_dangling_rejected_and_edge_cap():

@@ -6,7 +6,7 @@ import pytest
 from holant3.dichotomy import FP, classify_ternary
 from holant3.errors import HardnessRefusal, NotDegenerate, WrongCase
 from holant3.grid import bipartite_grid, disjoint_union, holant
-from holant3.signatures import SymSig
+from holant3.signatures import EQ3, SymSig
 from holant3.tractable import (
     TractableInstance,
     solve,
@@ -123,3 +123,93 @@ def test_polynomial_path_beyond_brute_force_cap():
     value, cls = solve(TractableInstance(bipartite_grid(SymSig([1, 2, 4, 8]), pairs),
                                          SymSig([1, 2, 4, 8])))
     assert cls.matched_case == 1 and value == Fraction(9) ** k
+
+
+def _affine_sig(rng, parity):
+    scale = Fraction(rng.choice((-1, 1)) * rng.randint(1, 7), rng.randint(1, 5))
+    return SymSig([scale, 0, scale, 0] if parity == 0 else [0, scale, 0, scale])
+
+
+def test_affine_matches_evaluator_on_small_grids():
+    """Seeded grids of both parities up to 24 edges, with double and triple
+    edges between one f vertex and one equality vertex, disjoint unions,
+    and edges listed from either end, against the elimination evaluator."""
+    rng = random.Random(62)
+    built = {"double": 0, "triple": 0, "union": 0}
+    for trial in range(160):
+        f = _affine_sig(rng, trial % 2)
+        if trial % 4 == 3:
+            n_parts = rng.randint(2, 3)
+            parts = [rand_pure_grid(rng, f, rng.randint(1, 8 // n_parts)) for _ in range(n_parts)]
+            grid = disjoint_union(*parts)
+            built["union"] += 1
+        else:
+            grid = rand_pure_grid(rng, f, rng.randint(1, 8))
+        grid.edges = [(b, a) if rng.random() < 0.5 else (a, b) for a, b in grid.edges]
+        ends = [frozenset((a[0], b[0])) for a, b in grid.edges]
+        built["double"] += any(ends.count(e) == 2 for e in ends)
+        built["triple"] += any(ends.count(e) == 3 for e in ends)
+        assert len(grid.edges) <= 24
+        inst = TractableInstance(grid, f)
+        assert solve_affine(inst) == holant(grid)
+    assert min(built.values()) >= 10, built
+
+
+def test_affine_inconsistent_system_gives_zero():
+    """An odd-parity row with an even number of terms can reduce to 0 = 1:
+    the arity-4 odd parity [0,1,0,1,0] on a vertex whose four edges are
+    two double edges forces x + x + y + y = 1. (No ternary system is
+    inconsistent: that needs an odd set of rows whose terms cancel in
+    pairs, and an odd set of three-term rows has an odd number of terms.)"""
+    f = SymSig([0, 1, 0, 1, 0])
+    g = bipartite_grid(f, [(0, 0), (0, 0), (0, 1), (0, 1), (1, 0), (1, 2), (1, 3), (1, 2),
+                           (2, 1), (2, 2), (2, 3), (2, 3)])
+    inst = TractableInstance(g, f)
+    assert solve_affine(inst) == holant(g) == 0
+
+
+def _edge_level_count(grid, f):
+    """The affine count from the full edge-level GF(2) system: two
+    equalities per equality vertex and one parity row per f vertex, each
+    an n_edges-bit row, ranked with and without the right-hand side."""
+    parity = 0 if f[1] == 0 else 1
+    scale = f[0] if parity == 0 else f[1]
+    n = len(grid.edges)
+    incident = {vid: [] for vid in grid.vertices}
+    for idx, ((va, _), (vb, _)) in enumerate(grid.edges):
+        incident[va].append(idx)
+        incident[vb].append(idx)
+    rows = []
+    for vid, edges in incident.items():
+        if grid.vertices[vid].sig == EQ3:
+            rows += [1 << edges[0] | 1 << edges[1], 1 << edges[1] | 1 << edges[2]]
+        else:
+            row = parity << n
+            for idx in edges:
+                row ^= 1 << idx
+            rows.append(row)
+
+    def rank(vectors):
+        basis = {}
+        for v in vectors:
+            while v:
+                b = basis.get(v.bit_length())
+                if b is None:
+                    basis[v.bit_length()] = v
+                    break
+                v ^= b
+        return len(basis)
+
+    full = rank(rows)
+    hom = rank(r & ~(1 << n) for r in rows)
+    return Fraction(0) if full != hom else Fraction(scale) ** (n // 3) * Fraction(2) ** (n - hom)
+
+
+@pytest.mark.parametrize("edges", [3000, 9000])
+def test_affine_matches_edge_level_rank_on_large_grids(edges):
+    rng = random.Random(edges)
+    for parity in (0, 1):
+        f = _affine_sig(rng, parity)
+        grid = rand_pure_grid(rng, f, edges // 3)
+        assert len(grid.edges) == edges
+        assert solve_affine(TractableInstance(grid, f)) == _edge_level_count(grid, f)
