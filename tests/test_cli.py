@@ -88,6 +88,33 @@ def test_pm_count_with_oracle(tmp_path, capsys):
     assert "oracle: match" in capsys.readouterr().out
 
 
+THETA = {"vertices": [{"id": 0, "sig": "[0,1,1,0]", "side": "L"},
+                     {"id": 1, "sig": "EQ3", "side": "R"}],
+         "edges": [[0, 0, 1, 0], [0, 1, 1, 1], [0, 2, 1, 2]]}
+
+
+def test_theta_rotations_are_read(tmp_path):
+    path = tmp_path / "emb.json"
+    path.write_text(json.dumps({**THETA, "rotations": [[0, [0, 1, 2]], [1, [2, 1, 0]]]}))
+    code, out, _ = run_cli(["solve-planar-cover", "--input", str(path), "--oracle"])
+    assert code == 0 and "oracle: match" in out
+
+
+@pytest.mark.parametrize("rotations, message", [
+    ([["0", [0, 1, 2]], [1, [2, 1, 0]]], "names no grid vertex"),
+    ([[0, [0, 1, 2]], [1, [2, 1, 0]], ["x", [0]]], "names no grid vertex"),
+    ([[0, [0, 1, 2]], [1, [2, 1, 0]], [0, [0, 2, 1]]], "more than one rotation entry"),
+    ([[0, [0, "a", 1]], [1, [2, 1, 0]]], "not an integer"),
+])
+def test_bad_rotation_entries_are_input_errors(rotations, message, tmp_path):
+    path = tmp_path / "emb.json"
+    path.write_text(json.dumps({**THETA, "rotations": rotations}))
+    code, out, err = run_cli(["solve-planar-cover", "--input", str(path)])
+    assert code == 2 and out == ""
+    assert err.startswith("input error:") and message in err
+    assert "Traceback" not in err
+
+
 def test_solve_planar_cover(tmp_path, capsys):
     inst = theta_chain_grid(2, ONE_OR_TWO)
     path = tmp_path / "emb.json"

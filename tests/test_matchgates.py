@@ -17,7 +17,7 @@ from holant3.matchgates import (
 )
 from holant3.planar import PlanarMultigraph, count_pm
 from holant3.signatures import EQ3, SymSig, hadamard_transform
-from conftest import random_embedded_instance, theta_chain_grid
+from conftest import bead_expand, ladder_expand, random_embedded_instance, theta_chain_grid
 
 
 def test_crossing_gate_signature():
@@ -75,6 +75,22 @@ def test_randomized_holographic_identity():
     for _ in range(12):
         inst = random_embedded_instance(rng, ONE_OR_TWO, max_side=6)
         assert solve_planar_moderate_cover(inst) == holant(inst.grid)
+
+
+@pytest.mark.parametrize("target", [80, 100, 120])
+def test_planar_cover_matches_evaluator_past_enumeration_cap(target):
+    """Bead/ladder instances of 80-120 grid vertices (120-180 edges),
+    far past enumerate_pm's reach: the Pfaffian pipeline equals the
+    elimination evaluator."""
+    rng = random.Random(target)
+    inst = theta_chain_grid(2, ONE_OR_TWO)
+    while len(inst.grid.vertices) < target:
+        grown = bead_expand(inst, rng) if rng.random() < 0.5 else ladder_expand(inst, rng)
+        inst = grown or inst
+    assert len(inst.grid.vertices) == target
+    value = solve_planar_moderate_cover(inst)
+    assert value != 0
+    assert value == holant(inst.grid, max_edges=len(inst.grid.edges))
 
 
 def test_holographic_identity_via_transformed_signatures():

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from holant3.errors import NotGenusZero, NotSkewSymmetric
+from holant3.exact import QuadExt
 from holant3.planar import (
     PlanarMultigraph,
     check_genus_zero,
@@ -221,3 +222,100 @@ def test_library_enumerator_agrees_with_oracle():
     for _ in range(20):
         g = random_planar_graph(rng)
         assert enumerate_pm(g) == enumerate_pm_oracle(g)
+
+
+def _as_mapping_rows(m):
+    return [{j: v for j, v in enumerate(row) if v != 0} for row in m]
+
+
+def _pf_expand(m):
+    """Pfaffian by expansion along the first row (exponential)."""
+    n = len(m)
+    if n == 0:
+        return 1
+    if n % 2 == 1:
+        return 0
+    total = 0
+    for j in range(1, n):
+        keep = [x for x in range(1, n) if x != j]
+        minor = [[m[a][b] for b in keep] for a in keep]
+        term = m[0][j] * _pf_expand(minor)
+        total = total + term if j % 2 == 1 else total - term
+    return total
+
+
+def _random_entry(rng, kind):
+    if kind == "int":
+        return rng.randint(-4, 4)
+    if kind == "fraction":
+        return Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+    return QuadExt(Fraction(rng.randint(-3, 3), rng.randint(1, 3)), rng.randint(-2, 2), 2)
+
+
+def test_pfaffian_mapping_rows_equal_dense_rows():
+    """Seeded skew matrices of every entry type, dense or sparse, odd
+    and even: the mapping form and the dense form agree, the value
+    matches the row expansion up to 8 indices, and it squares to the
+    determinant wherever the entries are rational."""
+    rng = random.Random(75)
+    for n in range(13):
+        for kind in ("int", "fraction", "quadext"):
+            for density in (1.0, 0.3):
+                m = [[0] * n for _ in range(n)]
+                for i in range(n):
+                    for j in range(i + 1, n):
+                        if rng.random() < density:
+                            m[i][j] = _random_entry(rng, kind)
+                            m[j][i] = -m[i][j]
+                value = pfaffian(m)
+                assert pfaffian(_as_mapping_rows(m)) == value
+                if n <= 8:
+                    assert value == _pf_expand(m)
+                if kind != "quadext":
+                    assert value ** 2 == _gauss_det(m)
+
+
+def test_pfaffian_mapping_rows_with_cancellation_and_singularity():
+    rng = random.Random(76)
+    for n in (4, 6, 8, 10):
+        # u v^T - v u^T has rank 2: every update cancels, and Pf is 0
+        u = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)]
+        v = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)]
+        rank2 = _skew(n, lambda i, j: u[i] * v[j] - v[i] * u[j])
+        assert pfaffian(rank2) == pfaffian(_as_mapping_rows(rank2)) == 0
+        # two equal rows: singular
+        dup = _skew(n, lambda i, j: rng.randint(-3, 3))
+        for j in range(n):
+            if j not in (0, 1):
+                dup[1][j], dup[j][1] = dup[0][j], -dup[0][j]
+        dup[0][1], dup[1][0] = 0, 0
+        assert pfaffian(dup) == pfaffian(_as_mapping_rows(dup)) == _gauss_det(dup) == 0
+    # explicit zeros in a mapping row are absent entries
+    assert pfaffian([{1: 3, 2: 0, 3: Fraction(0)}, {0: -3}, {0: 0, 3: 5}, {2: -5}]) == 15
+    # pivot (0,1) cancels the entry (2,3), leaving row 2 empty:
+    # Pf = a01 a23 - a02 a13 + a03 a12 = 1 - 1 + 0
+    m = [{1: 1, 2: 1}, {0: -1, 3: 1}, {0: -1, 3: 1}, {1: -1, 2: -1}]
+    assert pfaffian(m) == 0
+    m[2][3], m[3][2] = 2, -2
+    assert pfaffian(m) == 1
+
+
+def test_pfaffian_of_int_rows_is_never_a_float():
+    rng = random.Random(77)
+    for n in (2, 4, 6, 8):
+        m = _skew(n, lambda i, j: rng.choice([-3, -2, 2, 3, 5]))
+        ints = [[int(v) for v in row] for row in m]
+        for rows in (ints, _as_mapping_rows(ints)):
+            value = pfaffian(rows)
+            assert isinstance(value, Fraction) and value == pfaffian(m)
+
+
+def test_pfaffian_mapping_rows_rejected_like_dense_rows():
+    with pytest.raises(NotSkewSymmetric, match="not square"):
+        pfaffian([{1: 1}, {0: -1, 2: 1}])
+    with pytest.raises(NotSkewSymmetric, match="diagonal entry 1"):
+        pfaffian([{1: 1}, {0: -1, 1: 2}])
+    with pytest.raises(NotSkewSymmetric, match=r"entries \(0,1\) and \(1,0\)"):
+        pfaffian([{1: 1}, {0: 1}])
+    with pytest.raises(NotSkewSymmetric, match=r"entries \(0,1\) and \(1,0\)"):
+        pfaffian([{1: 1}, {}])

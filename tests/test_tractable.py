@@ -155,17 +155,26 @@ def test_affine_matches_evaluator_on_small_grids():
     assert min(built.values()) >= 10, built
 
 
-def test_affine_inconsistent_system_gives_zero():
-    """An odd-parity row with an even number of terms can reduce to 0 = 1:
-    the arity-4 odd parity [0,1,0,1,0] on a vertex whose four edges are
-    two double edges forces x + x + y + y = 1. (No ternary system is
-    inconsistent: that needs an odd set of rows whose terms cancel in
-    pairs, and an odd set of three-term rows has an odd number of terms.)"""
-    f = SymSig([0, 1, 0, 1, 0])
-    g = bipartite_grid(f, [(0, 0), (0, 0), (0, 1), (0, 1), (1, 0), (1, 2), (1, 3), (1, 2),
-                           (2, 1), (2, 2), (2, 3), (2, 3)])
-    inst = TractableInstance(g, f)
-    assert solve_affine(inst) == holant(g) == 0
+def test_non_ternary_f_is_refused():
+    """The solvers read f[0..3] only, so an f of another arity is
+    refused before any of them runs: on arity-5 [0,1,0,1,7,7] at three
+    vertices, shuffled onto five equality vertices, solve_affine once
+    returned 4 where the evaluator gives 456."""
+    rng = random.Random(5)
+    f5 = SymSig([0, 1, 0, 1, 7, 7])
+    right = [(vid, slot) for vid in range(5) for slot in range(3)]
+    rng.shuffle(right)
+    g = bipartite_grid(f5, [(i // 5, right[i][0]) for i in range(15)])
+    assert holant(g) == 456
+    with pytest.raises(WrongCase, match="arity 5"):
+        TractableInstance(g, f5)
+    # arity-4 odd parity with x + x + y + y = 1: the evaluator gives 0
+    f4 = SymSig([0, 1, 0, 1, 0])
+    g = bipartite_grid(f4, [(0, 0), (0, 0), (0, 1), (0, 1), (1, 0), (1, 2), (1, 3), (1, 2),
+                            (2, 1), (2, 2), (2, 3), (2, 3)])
+    assert holant(g) == 0
+    with pytest.raises(WrongCase, match="arity 4"):
+        TractableInstance(g, f4)
 
 
 def _edge_level_count(grid, f):
