@@ -172,8 +172,17 @@ def cmd_contract(args) -> int:
 
 def cmd_search_gadget(args) -> int:
     f = parse_signature(args.signature)
+    if f.arity != 3:
+        raise errors.ParseError(f"--signature must be ternary, got arity {f.arity}")
     target = parse_signature(args.target)
-    pols = tuple(args.polarities) if args.polarities else None
+    pols = args.polarities
+    if pols is not None:
+        if not set(pols) <= {"L", "R"}:
+            raise errors.ParseError(f"--polarities takes only L and R, got {pols!r}")
+        if len(pols) != target.arity:
+            raise errors.ParseError(f"--polarities has {len(pols)} letters, "
+                                    f"the target's arity is {target.arity}")
+        pols = tuple(pols)
     found = gadget_search(f, target, args.max_f, args.max_eq, polarities=pols)
     if found is None:
         _emit({"found": "no", "bounds": f"max_f={args.max_f} max_eq={args.max_eq}"}, args.format)

@@ -152,6 +152,82 @@ def test_search_gadget_miss(capsys):
     assert "found: no" in capsys.readouterr().out
 
 
+# `search-gadget --format json` stdout, byte for byte, as recorded before
+# the orbit enumeration was rewritten: the gadget found is the first hit
+# in enumeration order, so these pin that order as well as the output.
+HUB_3223_JSON = (
+    r'{"found": "yes", "gadget": "{\"dangling\": [[[\"f\", 0], 2], [[\"f\", 1], 2], '
+    r'[[\"f\", 2], 2]], \"edges\": [[[\"f\", 0], 0, [\"q\", 0], 0], [[\"f\", 0], 1, [\"q\", '
+    r'1], 0], [[\"f\", 1], 0, [\"q\", 0], 1], [[\"f\", 1], 1, [\"q\", 1], 1], [[\"f\", 2], '
+    r'0, [\"q\", 0], 2], [[\"f\", 2], 1, [\"q\", 1], 2]], \"vertices\": [{\"id\": [\"f\", '
+    r'0], \"side\": \"L\", \"sig\": {\"arity\": 3, \"weights\": [\"0\", \"1\", \"1\", '
+    r'\"0\"]}}, {\"id\": [\"f\", 1], \"side\": \"L\", \"sig\": {\"arity\": 3, '
+    r'\"weights\": [\"0\", \"1\", \"1\", \"0\"]}}, {\"id\": [\"f\", 2], \"side\": \"L\", '
+    r'\"sig\": {\"arity\": 3, \"weights\": [\"0\", \"1\", \"1\", \"0\"]}}, {\"id\": [\"q\", '
+    r'0], \"side\": \"R\", \"sig\": \"EQ3\"}, {\"id\": [\"q\", 1], \"side\": \"R\", '
+    r'\"sig\": \"EQ3\"}]}"}'
+    '\n')
+
+FOUR_SQUARE_0120_JSON = (
+    r'{"found": "yes", "gadget": "{\"dangling\": [[[\"f\", 0], 2], [[\"f\", 1], 2], '
+    r'[[\"f\", 2], 2]], \"edges\": [[[\"f\", 0], 0, [\"q\", 1], 0], [[\"f\", 0], 1, [\"q\", '
+    r'2], 0], [[\"f\", 1], 0, [\"q\", 0], 0], [[\"f\", 1], 1, [\"q\", 2], 1], [[\"f\", 2], '
+    r'0, [\"q\", 0], 1], [[\"f\", 2], 1, [\"q\", 1], 1], [[\"f\", 3], 0, [\"q\", 0], 2], '
+    r'[[\"f\", 3], 1, [\"q\", 1], 2], [[\"f\", 3], 2, [\"q\", 2], 2]], '
+    r'\"vertices\": [{\"id\": [\"f\", 0], \"side\": \"L\", \"sig\": {\"arity\": 3, '
+    r'\"weights\": [\"0\", \"1\", \"2\", \"0\"]}}, {\"id\": [\"f\", 1], \"side\": \"L\", '
+    r'\"sig\": {\"arity\": 3, \"weights\": [\"0\", \"1\", \"2\", \"0\"]}}, {\"id\": [\"f\", '
+    r'2], \"side\": \"L\", \"sig\": {\"arity\": 3, \"weights\": [\"0\", \"1\", \"2\", '
+    r'\"0\"]}}, {\"id\": [\"f\", 3], \"side\": \"L\", \"sig\": {\"arity\": 3, '
+    r'\"weights\": [\"0\", \"1\", \"2\", \"0\"]}}, {\"id\": [\"q\", 0], \"side\": \"R\", '
+    r'\"sig\": \"EQ3\"}, {\"id\": [\"q\", 1], \"side\": \"R\", \"sig\": \"EQ3\"}, '
+    r'{\"id\": [\"q\", 2], \"side\": \"R\", \"sig\": \"EQ3\"}]}"}'
+    '\n')
+
+TRANSFER_LR_JSON = (
+    r'{"found": "yes", "gadget": "{\"dangling\": [[[\"f\", 0], 2], [[\"q\", 0], 2]], '
+    r'\"edges\": [[[\"f\", 0], 0, [\"q\", 0], 0], [[\"f\", 0], 1, [\"q\", 0], 1]], '
+    r'\"vertices\": [{\"id\": [\"f\", 0], \"side\": \"L\", \"sig\": {\"arity\": 3, '
+    r'\"weights\": [\"1\", \"2\", \"2\", \"4\"]}}, {\"id\": [\"q\", 0], \"side\": \"R\", '
+    r'\"sig\": \"EQ3\"}]}"}'
+    '\n')
+
+MISS_LR_44_JSON = (
+    r'{"bounds": "max_f=4 max_eq=4", "found": "no"}'
+    '\n')
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["--signature", "[0,1,1,0]", "--target", "[3,2,2,3]", "--max-f", "3", "--max-eq", "2"],
+     HUB_3223_JSON),
+    (["--signature", "[0,1,2,0]", "--target", "[12,17,20,12]", "--max-f", "4", "--max-eq", "3"],
+     FOUR_SQUARE_0120_JSON),
+    (["--signature", "[1,2,2,4]", "--target", "[1,2,4]", "--max-f", "1", "--max-eq", "1",
+      "--polarities", "LR"], TRANSFER_LR_JSON),
+    # exhaustive: a nonnegative f gives no target with both signs, so
+    # every 4 x 4 topology is enumerated and contracted
+    (["--signature", "[1,2,3,5]", "--target", "[1,-2,3]", "--max-f", "4", "--max-eq", "4",
+      "--polarities", "LR"], MISS_LR_44_JSON),
+], ids=["hub_3223", "four_square_0120", "transfer_lr", "miss_lr_44"])
+def test_search_gadget_json_output_is_pinned(argv, expected, capsys):
+    assert main(["search-gadget", *argv, "--format", "json"]) == 0
+    assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--signature", "[0,1,1,0]", "--target", "[3,2,2,3]", "--polarities", "LX"], "only L and R"),
+    (["--signature", "[0,1,1,0]", "--target", "[3,2,2,3]", "--polarities", "LR"], "arity is 3"),
+    (["--signature", "[1,2,2,4]", "--target", "[1,2,4]", "--polarities", "LLR"], "arity is 2"),
+    (["--signature", "[1,2]", "--target", "[1,2,3,4]"], "must be ternary"),
+    (["--signature", "[1,2,3,4,5]", "--target", "[1,2,3,4]"], "must be ternary"),
+])
+def test_search_gadget_bad_arguments_are_input_errors(argv, message, capsys):
+    assert main(["search-gadget", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("input error:") and message in captured.err
+
+
 def test_interp_demo(capsys):
     assert main(["interp-demo", "--signature", "[1,2,3,4]", "--occurrences", "1"]) == 0
     out = capsys.readouterr().out

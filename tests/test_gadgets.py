@@ -1,7 +1,11 @@
 import random
 from fractions import Fraction
+from itertools import permutations, product
+
+import pytest
 
 from holant3.gadgets import (
+    _biadjacency_matrices,
     build_double_hub_gadget,
     build_transfer_gadget,
     build_unary_probe,
@@ -122,3 +126,31 @@ def test_four_square_gadget_output_families():
 def test_transfer_gadget_polarities():
     g = build_transfer_gadget(SymSig([1, 1, 1, 1]))
     assert [g.polarity_of(p) for p in g.dangling] == ["L", "R"]
+
+
+def _orbit(matrix):
+    """Every matrix reached by permuting the rows and the columns."""
+    n_cols = len(matrix[0]) if matrix else 0
+    return {rows for cp in permutations(range(n_cols))
+            for rows in permutations(tuple(tuple(row[j] for j in cp) for row in matrix))}
+
+
+@pytest.mark.parametrize("n_f", range(5))
+def test_biadjacency_matrices_yield_each_orbit_lexmin_once(n_f):
+    """Against brute force: every matrix with entries 0..3 and row and
+    column sums <= 3 lies in the orbit of exactly one yielded matrix,
+    and that matrix is the least of its n_f! * n_eq! permutations."""
+    for n_eq in range(5):
+        row_set = [r for r in product(range(4), repeat=n_eq) if sum(r) <= 3]
+        by_total = {}
+        for m in product(row_set, repeat=n_f):
+            if all(sum(col) <= 3 for col in zip(*m)):
+                by_total.setdefault(sum(map(sum, m)), set()).add(m)
+        for total in range(3 * min(n_f, n_eq) + 2):
+            covered = set()
+            for rep in _biadjacency_matrices(n_f, n_eq, total):
+                orbit = _orbit(rep)
+                assert rep == min(orbit), (n_f, n_eq, total, rep)
+                assert not orbit & covered, (n_f, n_eq, total, rep)
+                covered |= orbit
+            assert covered == by_total.get(total, set()), (n_f, n_eq, total)
