@@ -92,6 +92,18 @@ def _grid_signature(grid) -> SymSig:
     return sig
 
 
+def _evaluator_oracle(report: dict, grid, value, max_edges: int, solver: str):
+    """Re-check value with the exact evaluator, unless the grid is over
+    the edge cap."""
+    if len(grid.edges) > max_edges:
+        report["oracle"] = "skipped (over edge cap)"
+        return
+    check = holant(grid, max_edges=max_edges)
+    if check != value:
+        raise AssertionError(f"oracle mismatch: {solver} {value}, evaluator {check}")
+    report["oracle"] = "match"
+
+
 def cmd_classify(args) -> int:
     f = parse_signature(args.signature)
     cls = classify_ternary(f)
@@ -122,13 +134,7 @@ def cmd_solve(args) -> int:
     if cls.matched_case:
         report["case"] = cls.matched_case
     if args.oracle:
-        if len(grid.edges) <= args.max_edges:
-            check = holant(grid, max_edges=args.max_edges)
-            if check != value:
-                raise AssertionError(f"oracle mismatch: solver {value}, evaluator {check}")
-            report["oracle"] = "match"
-        else:
-            report["oracle"] = "skipped (over edge cap)"
+        _evaluator_oracle(report, grid, value, args.max_edges, "solver")
     _emit(report, args.format)
     return EXIT_OK
 
@@ -151,10 +157,7 @@ def cmd_solve_planar_cover(args) -> int:
     value = solve_planar_moderate_cover(inst)
     report = {"cover_count": format_scalar(value)}
     if args.oracle:
-        check = holant(inst.grid, max_edges=args.max_edges)
-        if check != value:
-            raise AssertionError(f"oracle mismatch: matchgates {value}, evaluator {check}")
-        report["oracle"] = "match"
+        _evaluator_oracle(report, inst.grid, value, args.max_edges, "matchgates")
     _emit(report, args.format)
     return EXIT_OK
 

@@ -94,7 +94,12 @@ def _parse_vertex_sig(obj):
         return _SIG_ALIASES[obj]
     if isinstance(obj, dict) and "entries" in obj:
         entries = [parse_scalar(v) for v in obj["entries"]]
-        return Tensor(obj.get("arity", len(entries).bit_length() - 1), entries)
+        n = len(entries)
+        arity = obj.get("arity", n.bit_length() - 1)
+        # bounded before the shift: no arity over n fits n entries
+        if type(arity) is not int or not 0 <= arity <= n or 1 << arity != n:
+            raise FormatError(f"tensor arity {arity!r} disagrees with {n} entries")
+        return Tensor(arity, entries)
     return parse_signature(obj)
 
 
@@ -123,20 +128,28 @@ def parse_grid(obj) -> SignatureGrid:
             g.add_vertex(_vid(vid), sig, polarity)
         for quad in obj.get("edges", []):
             va, sa, vb, sb = quad
-            g.add_edge((_vid(va), sa), (_vid(vb), sb))
+            g.add_edge((_vid(va), _slot(sa)), (_vid(vb), _slot(sb)))
         for pair in obj.get("dangling", []):
             vid, slot = pair
-            g.mark_dangling((_vid(vid), slot))
+            g.mark_dangling((_vid(vid), _slot(slot)))
     except (KeyError, TypeError, ValueError) as e:
         raise ParseError(f"bad grid structure: {e}") from e
     g.validate()
     return g
 
 
+def _slot(s) -> int:
+    # a bool is an int to Python, but no slot in the format
+    if type(s) is not int:
+        raise ParseError(f"slot {s!r} is not an integer")
+    return s
+
+
 def _vid(v):
     # JSON renders tuple ids as lists; fold them back to hashable tuples
     if isinstance(v, list):
         return tuple(_vid(x) for x in v)
+    hash(v)                   # an unhashable id raises TypeError, which callers report
     return v
 
 
@@ -174,12 +187,20 @@ def parse_planar_graph(obj) -> PlanarMultigraph:
         except json.JSONDecodeError as e:
             raise ParseError(f"bad planar graph JSON: {e}") from e
     try:
-        edges = [(e[0], e[1], parse_rational(e[2])) for e in obj["edges"]]
-        vertices = [v["id"] for v in obj["vertices"]]
-        rotation = {v["id"]: [tuple(end) for end in v["rotation"]] for v in obj["vertices"]}
-    except (KeyError, TypeError, IndexError) as e:
+        edges = [(_vid(e[0]), _vid(e[1]), parse_rational(e[2])) for e in obj["edges"]]
+        vertices = [_vid(v["id"]) for v in obj["vertices"]]
+        rotation = {_vid(v["id"]): [_edge_end(end) for end in v["rotation"]]
+                    for v in obj["vertices"]}
+    except (KeyError, TypeError, IndexError, ValueError) as e:
         raise ParseError(f"bad planar graph structure: {e}") from e
     return PlanarMultigraph(vertices, edges, rotation)
+
+
+def _edge_end(end) -> tuple:
+    idx, side = end
+    if type(idx) is not int or type(side) is not int or side not in (0, 1):
+        raise ParseError(f"edge-end {end!r} is not an [edge index, 0 or 1] pair")
+    return idx, side
 
 
 def format_planar_graph(g: PlanarMultigraph) -> dict:
@@ -232,11 +253,10 @@ def parse_hypergraph(obj):
             raise ParseError(f"bad hypergraph JSON: {e}") from e
     try:
         sets = [list(s) for s in obj["sets"]]
-    except (KeyError, TypeError) as e:
-        raise ParseError(f"bad hypergraph structure: {e}") from e
-    ground = obj.get("ground")
-    if ground is not None:
         listed = {x for s in sets for x in s}
-        if set(ground) != listed:
+        ground = obj.get("ground")
+        if ground is not None and set(ground) != listed:
             raise FormatError("ground set disagrees with set contents")
+    except (KeyError, TypeError) as e:   # TypeError also for unhashable elements
+        raise ParseError(f"bad hypergraph structure: {e}") from e
     return sets

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from itertools import permutations, product
 
-from .errors import ArityMismatch
+from .errors import ArityMismatch, GridStructureError
 from .exact import Scalar, scalar_is_zero, scalar_sign
 from .grid import Gadget, SignatureGrid, contract
 from .signatures import EQ3, SymSig, Tensor
@@ -206,7 +206,9 @@ def gadget_search(f: SymSig, target, max_f: int, max_eq: int,
     of L vs R dangling ports is taken from `polarities`, defaulting to
     all L) or a Tensor compared against the canonical dangling order
     (f-side ports first). Returns the gadget, or None when the bounds
-    are exhausted.
+    are exhausted; polarities of the wrong length (ArityMismatch) or
+    with a letter other than L and R (GridStructureError) are refused
+    before the search.
     """
     if isinstance(target, SymSig):
         target_tensor = Tensor(target.arity, [target.value_at(p) for p in range(1 << target.arity)])
@@ -216,6 +218,10 @@ def gadget_search(f: SymSig, target, max_f: int, max_eq: int,
     if polarities is None:
         polarities = tuple("L" for _ in range(d))
     polarities = tuple(polarities)
+    if len(polarities) != d:
+        raise ArityMismatch(f"{len(polarities)} polarities for a target of arity {d}")
+    if not set(polarities) <= {"L", "R"}:
+        raise GridStructureError(f"polarities must be 'L' or 'R', got {polarities!r}")
     want_l = sum(1 for p in polarities if p == "L")
     want_r = d - want_l
     for n_f in range(0, max_f + 1):

@@ -6,14 +6,18 @@ are first-class: a port is identified by (vertex, slot). Grids with a
 nonempty ordered dangling list are gadgets; contraction sums out the
 internal edges and leaves a tensor over the dangling ports.
 
-The evaluator eliminates vertices one at a time in a greedy order
-(most edges closed, then fewest opened), keeping a sparse table from
-the values of the open edges and dangling ports to exact partial sums.
-Its cost is exponential only in the width of that order (Markov & Shi,
-SICOMP 2008): the table has at most 2^width entries, and the result is
-exact, never rounded. It refuses grids above an edge cap, and tables
-past MAX_LIVE_STATES entries. The independent checks against explicit
-summation over every edge assignment live in the test suite.
+The evaluator first folds the equality-type vertices ([a,0,...,0,b],
+EQ3 among them) into variables: a variable is a class of edges and
+dangling ports that such vertices force equal, weighted by their a and
+b. It then eliminates the other vertices one at a time in a greedy
+order (most variables closed, then fewest opened), keeping a sparse
+table from the values of the open variables to exact partial sums. Its
+cost is exponential only in the width of that order (Markov & Shi,
+SICOMP 2008), counted in open equality classes, not edges: the table
+has at most 2^width entries, and the result is exact, never rounded.
+It refuses grids above an edge cap, and tables past MAX_LIVE_STATES
+entries. The independent checks against explicit summation over every
+edge assignment live in the test suite.
 """
 
 from __future__ import annotations
@@ -156,81 +160,180 @@ def connected_components(vertices: Iterable, pairs: Iterable[tuple]) -> list[set
 
 # -- evaluation -------------------------------------------------------------
 
-# Table entries past which elimination refuses: about 170 MiB at the
-# ~170 bytes an entry (old and new table together) measured on dense
-# 90-102-edge grids; entries with longer values cost more.
+# Table entries past which elimination refuses: about 225 MiB at the
+# ~225 bytes an entry (traced peak, old and new table together) measured
+# on dense random 90-114-edge grids, keyed by their open equality
+# classes; entries with longer values cost more.
 MAX_LIVE_STATES = 1 << 20
 
 
-def _eliminate(grid: SignatureGrid, max_edges: int) -> dict:
-    """Absorb the vertices one at a time into a table {key: partial sum}.
+def _is_equality(sig) -> bool:
+    """[a,0,...,0,b] of arity >= 1: every port carries one value."""
+    return (isinstance(sig, SymSig) and sig.arity >= 1
+            and all(scalar_is_zero(x) for x in sig.values[1:-1]))
 
-    A key holds one bit per open variable: an edge with one end absorbed,
-    or a dangling port, which holds bit i (dangling port i) from the
-    start and never closes. A vertex extends each entry by its nonzero
-    values that agree with the open bits, and the bits of the edges it
-    closes leave the key, so entries with equal futures merge. Returns
-    the final table {dangling pattern: exact value}.
+
+def _patterns(sig, shape: tuple, k: int):
+    """Nonzero values of sig with slot s on variable shape[s]: a list
+    [(q, value)] over the k variables (bit j = variable j) and a scale;
+    when every value is rational they are integers, scaled by it."""
+    pats = []
+    for q in range(1 << k):
+        val = sig.value_at(sum(1 << s for s, j in enumerate(shape) if q >> j & 1))
+        if not scalar_is_zero(val):
+            pats.append((q, val))
+    if not all(isinstance(val, Fraction) for _, val in pats):
+        return pats, 1
+    scale = lcm(*(val.denominator for _, val in pats))
+    return [(q, val.numerator * (scale // val.denominator)) for q, val in pats], scale
+
+
+def _eliminate(grid: SignatureGrid, max_edges: int) -> list:
+    """Values of the grid at every dangling pattern (bit i = dangling
+    port i), by one elimination over equality classes.
+
+    A variable is a class of edges and dangling ports joined through
+    equality-type vertices (any [a,0,...,0,b] of arity >= 1), so all its
+    ports carry one value, and it weighs the product of its vertices' a
+    at 0 and b at 1. The other vertices are absorbed one at a time into
+    a table {key: partial sum}; a key holds one bit per open variable,
+    one that an absorbed vertex touches and a vertex still to absorb, or
+    the output, touches too. A vertex extends each entry by its nonzero
+    values that agree with the open bits, and the bits of the variables
+    it closes leave the key, so entries with equal futures merge. A
+    variable's weight enters with its first vertex; a variable no vertex
+    touches adds w0 + w1, or its weight at the output if dangling.
     """
     if len(grid.edges) > max_edges:
         raise TooManyEdges(f"{len(grid.edges)} edges exceeds cap {max_edges}")
     grid.validate()
-    for vid, v in grid.vertices.items():
+    vertices = grid.vertices
+    for vid, v in vertices.items():
         if not hasattr(v.sig, "value_at"):
             raise ArityMismatch(f"vertex {vid!r} carries a non-evaluable signature {v.sig!r}")
-    m = len(grid.edges)
-    var_of = {p: m + i for i, p in enumerate(grid.dangling)}   # port -> variable
-    far = {}                                                   # port -> vertex across its edge
+    m, d = len(grid.edges), len(grid.dangling)
+    var_of = {p: m + i for i, p in enumerate(grid.dangling)}   # port -> edge or dangling index
     for i, (a, b) in enumerate(grid.edges):
         var_of[a] = var_of[b] = i
-        far[a], far[b] = b[0], a[0]
-    bit_of = {m + i: i for i in range(len(grid.dangling))}    # variable -> key bit in use
-    free: list = []
-    # greedy order by heap key (-edges closed, edges opened, insertion index)
-    vids = list(grid.vertices)
-    rank = {vid: [0, sum(1 for s in range(grid.vertices[vid].arity)
-                         if far.get((vid, s), vid) != vid), i] for i, vid in enumerate(vids)}
+    parent = list(range(m + d))                                # union-find over those indices
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+
+    factors, equalities = [], []
+    for vid, v in vertices.items():
+        if not _is_equality(v.sig):
+            factors.append(vid)
+            continue
+        equalities.append(vid)
+        r = find(var_of[(vid, 0)])
+        for s in range(1, v.arity):
+            x = find(var_of[(vid, s)])
+            if x != r:
+                parent[x] = r
+    weight = {}                                                # variable -> [w0, w1] if not [1, 1]
+    for vid in equalities:
+        a, b = vertices[vid].sig.values[0], vertices[vid].sig.values[-1]
+        if a != 1 or b != 1:
+            w = weight.setdefault(find(var_of[(vid, 0)]), [1, 1])
+            w[0] *= a
+            w[1] *= b
+    den = 1
+    for w in weight.values():
+        if all(isinstance(y, Fraction) for y in w):            # integer weights inside
+            scale = lcm(*(y.denominator for y in w))
+            w[:] = [y.numerator * (scale // y.denominator) for y in w]
+            den *= scale
+    # per factor vertex, its variables in slot order and the variable of each slot
+    shapes, touching, left = [], {}, {}     # left: vertices still to absorb (+1 if dangling)
+    for vid in factors:
+        order: dict = {}
+        shape = tuple(order.setdefault(find(var_of[(vid, s)]), len(order))
+                      for s in range(vertices[vid].arity))
+        shapes.append((list(order), shape))
+        for x in order:
+            touching.setdefault(x, []).append(vid)
+            left[x] = left.get(x, 0) + 1
+    ports: dict = {}                        # dangling variable -> mask of its dangling ports
+    for i in range(d):
+        x = find(m + i)
+        ports[x] = ports.get(x, 0) | 1 << i
+    for x in ports:
+        left[x] = left.get(x, 0) + 1
+    const = 1                               # variables that nothing touches
+    for x in {find(i) for i in range(m + d)} - left.keys():
+        w = weight.get(x, (1, 1))
+        const *= w[0] + w[1]
+    # greedy order by heap key (-variables closed, variables opened, insertion index)
+    rank = {vid: [0, sum(1 for x in shapes[i][0] if left[x] > 1), i]
+            for i, vid in enumerate(factors)}
     heap = [tuple(r) for r in rank.values()]
     heapq.heapify(heap)
-    table, den = {0: 1}, 1
+    cache: dict = {}
+    bit_of, free = {}, []                   # open variable -> key bit; free bits
+    table = {0: 1}
     while heap and table:
         entry = heapq.heappop(heap)
-        vid = vids[entry[2]]
+        i = entry[2]
+        vid = factors[i]
         if vid not in rank or list(entry) != rank[vid]:
             continue                                           # absorbed, or a stale key
         del rank[vid]
-        v = grid.vertices[vid]
-        checked, opened, loops, mask = [], [], {}, 0
-        for s in range(v.arity):
-            var = var_of[(vid, s)]
-            if var >= m:
-                opened.append((s, bit_of[var]))
-            elif var in bit_of:                                # its other end is absorbed: close it
-                b = bit_of.pop(var)
-                checked.append((s, b))
-                mask |= 1 << b
-                heapq.heappush(free, b)
-            elif far[(vid, s)] == vid:
-                loops.setdefault(var, []).append(s)
-            else:
-                r = rank[far[(vid, s)]]
-                r[0] -= 1
-                r[1] -= 1
-                heapq.heappush(heap, tuple(r))
-                # the bits in use and the free ones are 0..k-1, so with none free k = len(bit_of)
-                bit_of[var] = heapq.heappop(free) if free else len(bit_of)
-                opened.append((s, bit_of[var]))
-        vals = [v.sig.value_at(p) for p in range(1 << v.arity)]
-        if all(isinstance(x, Fraction) for x in vals):        # integer arithmetic inside
-            scale = lcm(*(x.denominator for x in vals))
-            vals = [x.numerator * (scale // x.denominator) for x in vals]
-            den *= scale
-        groups: dict = {}                  # bits needed on the open variables -> extensions
-        for p, val in enumerate(vals):
-            if scalar_is_zero(val) or any((p >> s ^ p >> t) & 1 for s, t in loops.values()):
+        sig = vertices[vid].sig
+        order, shape = shapes[i]
+        cached = cache.get((id(sig), shape))
+        if cached is None:
+            cached = cache[id(sig), shape] = _patterns(sig, shape, len(order))
+        pats, scale = cached
+        den *= scale
+        roles, mask = [], 0                 # per variable: (bit needed, bit added, weight)
+        for x in order:
+            left[x] -= 1
+            n = left[x]
+            b = bit_of.get(x)
+            if b is None and not n:                            # only this vertex touches it
+                roles.append((0, 0, weight.get(x)))
                 continue
-            need = sum(1 << b for s, b in checked if p >> s & 1)
-            add = sum(1 << b for s, b in opened if p >> s & 1)
+            if b is None:                                      # open it
+                # the bits in use and the free ones are 0..k-1, so with none free k = len(bit_of)
+                b = bit_of[x] = heapq.heappop(free) if free else len(bit_of)
+                roles.append((0, 1 << b, weight.get(x)))
+                for u in touching[x]:                          # no longer opens x; the last closes it
+                    r = rank.get(u)
+                    if r is not None:
+                        r[1] -= 1
+                        if n == 1:
+                            r[0] -= 1
+                        heapq.heappush(heap, tuple(r))
+                continue
+            mask |= 1 << b
+            if not n:                                          # close it
+                roles.append((1 << b, 0, None))
+                del bit_of[x]
+                heapq.heappush(free, b)
+                continue
+            roles.append((1 << b, 1 << b, None))               # check it, keep it open
+            if n == 1:                                         # the last vertex on x closes it
+                for u in touching[x]:
+                    r = rank.get(u)
+                    if r is not None:
+                        r[0] -= 1
+                        heapq.heappush(heap, tuple(r))
+        groups: dict = {}                   # bits needed on the open variables -> extensions
+        weighted = any(w for _, _, w in roles)
+        for q, val in pats:
+            need = add = 0
+            for j, (nb, ab, w) in enumerate(roles):
+                bit = q >> j & 1
+                if bit:
+                    need |= nb
+                    add |= ab
+                if w:
+                    val *= w[bit]
+            if weighted and scalar_is_zero(val):
+                continue
             groups.setdefault(need, []).append((add, val))
         keep = ~mask
         new: dict = {}
@@ -242,30 +345,45 @@ def _eliminate(grid: SignatureGrid, max_edges: int) -> dict:
                 raise TooManyEdges(f"elimination table reached {len(new)} live states at "
                                    f"vertex {vid!r}, over the limit {MAX_LIVE_STATES}")
         table = new
-    unit = Fraction(1, den)
-    return {key: demote(unit * acc) for key, acc in table.items()}
+    spread = [(1 << bit_of[x], mask) for x, mask in ports.items() if x in bit_of]
+    sums: dict = {}                         # dangling pattern -> value
+    for key, acc in table.items():
+        p = 0
+        for kb, mask in spread:
+            if key & kb:
+                p |= mask
+        sums[p] = acc
+    for x in ports.keys() - bit_of.keys():  # dangling variables that no vertex touches
+        w = weight.get(x, (1, 1))
+        sums = {p | m: acc * w[bit] for p, acc in sums.items() for bit, m in ((0, 0), (1, ports[x]))}
+    unit = Fraction(1, den) * const
+    values = [Fraction(0)] * (1 << d)      # ports of one variable that differ give 0
+    for p, acc in sums.items():
+        values[p] = demote(unit * acc)
+    return values
 
 
 def holant(grid: SignatureGrid, max_edges: int = DEFAULT_EDGE_CAP) -> Scalar:
-    """Exact partition function of a closed grid by vertex elimination;
-    refuses grids above max_edges edges or whose table outgrows
-    MAX_LIVE_STATES (TooManyEdges)."""
+    """Exact partition function of a closed grid by elimination over its
+    equality classes; the cost is exponential in the number of classes
+    open at once, not of edges. Refuses grids above max_edges edges or
+    whose table outgrows MAX_LIVE_STATES (TooManyEdges)."""
     if grid.dangling:
         raise DanglingPorts(f"{len(grid.dangling)} dangling ports; contract() instead")
-    return _eliminate(grid, max_edges).get(0, Fraction(0))
+    return _eliminate(grid, max_edges)[0]
 
 
 def contract(gadget: SignatureGrid, max_edges: int = DEFAULT_EDGE_CAP):
-    """Sum out the internal edges of a gadget in one elimination pass.
+    """Sum out the internal edges of a gadget in one elimination pass
+    over its equality classes, as holant does; the classes that hold a
+    dangling port stay open to the end.
 
     Returns (tensor, polarities): the tensor is indexed by the dangling
     pattern (bit i = value on dangling port i, following the gadget's
     dangling order) and polarities lists each dangling port's side.
     """
-    table = _eliminate(gadget, max_edges)
-    d = len(gadget.dangling)
     pols = tuple(gadget.polarity_of(p) for p in gadget.dangling)
-    return Tensor(d, [table.get(p, 0) for p in range(1 << d)]), pols
+    return Tensor(len(pols), _eliminate(gadget, max_edges)), pols
 
 
 def check_arity_mod3(gadget: SignatureGrid):

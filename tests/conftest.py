@@ -293,6 +293,44 @@ def random_embedded_instance(rng: random.Random, fsig: SymSig, max_side=8):
     return inst
 
 
+def bead_ladder_instance(seed: int, n_vertices: int):
+    """Planar [0,1,1,0] | =3 instance of n_vertices grid vertices (even):
+    a theta grown by beads (an edge through a doubled L/R pair) and
+    ladders (the two edges of a corner at some vertex v threaded through
+    a new L/R pair, the one nearer v doubly joined to it). Both keep the
+    rotation system planar, so unlike bead_expand and ladder_expand no
+    step re-checks the embedding; solve_planar_moderate_cover checks the
+    result."""
+    from holant3.matchgates import ONE_OR_TWO, EmbeddedGrid
+
+    rng = random.Random(seed)
+    side = {("L", 0): "L", ("R", 1): "R"}
+    edges = [((("L", 0), s), (("R", 1), s)) for s in range(3)]   # L port first
+    rot = {("L", 0): [0, 1, 2], ("R", 1): [0, 2, 1]}
+    while len(side) < n_vertices:
+        v = rng.choice(list(side))
+        ln, rn = ("L", len(side)), ("R", len(side) + 1)
+        side[ln], side[rn] = "L", "R"
+        if rng.random() < 0.5:
+            lport, rport = edges.pop(rng.randrange(len(edges)))
+            edges += [(lport, (rn, 0)), ((ln, 0), (rn, 1)), ((ln, 1), (rn, 2)), ((ln, 2), rport)]
+            rot[rn], rot[ln] = [0, 1, 2], [1, 0, 2]
+            continue
+        i = rng.randrange(3)
+        corner = [(v, rot[v][i]), (v, rot[v][(i + 1) % 3])]     # in rotation order
+        (l1, r1), (l2, r2) = (next(e for e in edges if p in e) for p in corner)
+        edges = [e for e in edges if corner[0] not in e and corner[1] not in e]
+        edges += [(l1, (rn, 0)), (l2, (rn, 1)), ((ln, 0), r1), ((ln, 1), r2), ((ln, 2), (rn, 2))]
+        near, far = (rn, ln) if side[v] == "L" else (ln, rn)
+        rot[near], rot[far] = [0, 2, 1], [0, 1, 2]
+    g = SignatureGrid()
+    for vid, s in side.items():
+        g.add_vertex(vid, ONE_OR_TWO if s == "L" else EQ3, s)
+    for a, b in edges:
+        g.add_edge(a, b)
+    return EmbeddedGrid(g, rot)
+
+
 @pytest.fixture
 def rng():
     return random.Random(20240817)

@@ -9,6 +9,7 @@ from holant3.grid import bipartite_grid
 from holant3.matchgates import ONE_OR_TWO
 from holant3.signatures import SymSig
 from conftest import (
+    bead_ladder_instance,
     left_specs_grid_obj,
     rand_pure_grid,
     random_planar_graph,
@@ -397,3 +398,48 @@ def test_argument_parser_is_built_once(tmp_path, capsys, monkeypatch):
         assert "unrecognized arguments: --oracle" in captured.err
     finally:
         cli._parser.cache_clear()
+
+
+@pytest.mark.parametrize("edges, dangling", [
+    ([["a", "0", "b", 0]], []),
+    ([["a", 0.0, "b", 0]], []),
+    ([["a", 0, "b", True]], []),
+    ([], [["a", "0"]]),
+    ([], [["a", False]]),
+])
+def test_non_integer_slots_are_input_errors(edges, dangling, tmp_path, capsys):
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps({"vertices": [{"id": "a", "sig": "[1,1]", "side": "L"},
+                                             {"id": "b", "sig": "[1,1]", "side": "R"}],
+                                "edges": edges, "dangling": dangling}))
+    assert main(["eval", "--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("input error:") and "is not an integer" in captured.err
+
+
+@pytest.mark.parametrize("obj", [{"sets": [[1, 2, [3]]]},
+                                 {"sets": [[1, 2, {"x": 3}]]},
+                                 {"ground": [[1]], "sets": [[1, 2, 3]]}])
+def test_unhashable_set_elements_are_input_errors(obj, tmp_path, capsys):
+    path = tmp_path / "sets.json"
+    path.write_text(json.dumps(obj))
+    assert main(["x3c-count", "--input", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("input error:")
+
+
+def test_solve_planar_cover_oracle_skips_over_the_edge_cap(tmp_path, capsys):
+    """40 grid vertices are 60 edges, over the default cap of 24: the
+    matchgate count is reported and the oracle skipped; a raised cap
+    runs the check on 320 grid vertices."""
+    small, large = tmp_path / "small.json", tmp_path / "large.json"
+    small.write_text(json.dumps(format_embedded_grid(bead_ladder_instance(4, 40))))
+    large.write_text(json.dumps(format_embedded_grid(bead_ladder_instance(5, 320))))
+    assert main(["solve-planar-cover", "--input", str(small), "--oracle",
+                 "--format", "json"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["oracle"] == "skipped (over edge cap)" and int(out["cover_count"]) > 0
+    assert main(["solve-planar-cover", "--input", str(large), "--oracle",
+                 "--max-edges", "480", "--format", "json"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["oracle"] == "match" and int(out["cover_count"]) > 0

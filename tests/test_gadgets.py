@@ -4,6 +4,7 @@ from itertools import permutations, product
 
 import pytest
 
+from holant3.errors import ArityMismatch, GridStructureError
 from holant3.gadgets import (
     _biadjacency_matrices,
     build_double_hub_gadget,
@@ -154,3 +155,20 @@ def test_biadjacency_matrices_yield_each_orbit_lexmin_once(n_f):
                 assert not orbit & covered, (n_f, n_eq, total, rep)
                 covered |= orbit
             assert covered == by_total.get(total, set()), (n_f, n_eq, total)
+
+
+@pytest.mark.parametrize("polarities, error", [
+    (("L", "L"), ArityMismatch),
+    ("LLLL", ArityMismatch),
+    (("L", "X", "R"), GridStructureError),
+    ("lll", GridStructureError),
+])
+def test_gadget_search_refuses_bad_polarities_before_searching(polarities, error, monkeypatch):
+    import holant3.gadgets as gadgets_module
+
+    def no_search(*args):
+        raise AssertionError("search ran")
+
+    monkeypatch.setattr(gadgets_module, "_biadjacency_matrices", no_search)
+    with pytest.raises(error):
+        gadget_search(SymSig([1, 2, 3, 5]), SymSig([1, 1, 1, 1]), 4, 4, polarities=polarities)

@@ -15,6 +15,7 @@ from holant3.grid import (
     bipartite_grid,
     check_arity_mod3,
     close_with_unaries,
+    connected_components,
     contract,
     disjoint_union,
     holant,
@@ -22,6 +23,7 @@ from holant3.grid import (
 import holant3.grid as grid_module
 from holant3.exact import QuadExt
 from holant3.gadgets import build_transfer_chain, build_transfer_gadget
+from holant3.matchgates import solve_planar_moderate_cover
 from holant3.signatures import (
     EQ3,
     SymSig,
@@ -30,7 +32,7 @@ from holant3.signatures import (
     straddled_from_f,
     sym_to_tensor,
 )
-from conftest import rand_nonneg_sig, rand_pure_grid
+from conftest import bead_ladder_instance, rand_nonneg_sig, rand_pure_grid
 
 PAIRS_2x2 = [(0, 0), (0, 0), (0, 1), (1, 0), (1, 1), (1, 1)]
 
@@ -331,3 +333,157 @@ def test_live_state_limit_refuses_with_too_many_edges(monkeypatch):
     monkeypatch.setattr(grid_module, "MAX_LIVE_STATES", 16)
     with pytest.raises(TooManyEdges, match="live states"):
         holant(g, max_edges=42)
+
+
+# -- equality classes -------------------------------------------------------
+
+def _weight(rng):
+    """1 often, else a small rational (zero and negative included) or,
+    now and then, a value in Q(sqrt(2))."""
+    r = rng.random()
+    if r < 0.4:
+        return Fraction(1)
+    x = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+    return QuadExt(x, rng.randint(-1, 1), 2) if r > 0.85 else x
+
+
+def _random_equality_grid(rng):
+    """Equality-type vertices [a,0,...,0,b] of arity 1-4 with any
+    polarities, mixed with up to two other vertices (tensors or
+    symmetric signatures); L and R ports pair up at random, and the
+    ports left over, plus a few more, dangle. None past 10 edges or 4
+    dangling ports."""
+    g = SignatureGrid()
+    ports = {"L": [], "R": []}
+
+    def add(vid, sig, arity):
+        pols = tuple(rng.choice("LR") for _ in range(arity))
+        g.add_vertex(vid, sig, pols)
+        for s, p in enumerate(pols):
+            ports[p].append((vid, s))
+
+    for i in range(rng.randint(1, 4)):
+        arity = rng.randint(1, 4)
+        add(("q", i), SymSig([_weight(rng)] + [0] * (arity - 1) + [_weight(rng)]), arity)
+    for i in range(rng.randint(0, 2)):
+        arity = rng.randint(0, 3)
+        if rng.random() < 0.5:
+            sig = Tensor(arity, [Fraction(rng.randint(-2, 3)) for _ in range(1 << arity)])
+        else:
+            sig = SymSig([Fraction(rng.randint(-2, 3)) for _ in range(arity + 1)])
+        add(("f", i), sig, arity)
+    left, right = ports["L"], ports["R"]
+    rng.shuffle(left)
+    rng.shuffle(right)
+    wired = max(0, min(len(left), len(right)) - rng.randint(0, 1))
+    for a, b in zip(left[:wired], right[:wired]):
+        g.add_edge(a, b)
+    loose = left[wired:] + right[wired:]
+    rng.shuffle(loose)
+    g.dangling = loose
+    if len(g.edges) > 10 or len(g.dangling) > 4:
+        return None
+    g.validate()
+    return g
+
+
+def _is_eq(sig):
+    return isinstance(sig, SymSig) and sig.arity >= 1 and not any(sig.values[1:-1])
+
+
+def test_equality_classes_match_no_pruning_reference():
+    """Every entry of contract (and holant when closed) equals the
+    explicit sum over all edge assignments on grids whose equality
+    vertices are weighted, hold two dangling ports, meet each other, or
+    make up whole components."""
+    rng = random.Random(31)
+    seen = dict.fromkeys(["two_dangling_on_eq", "eq_eq_edge", "eq_only_closed",
+                          "eq_only_dangling", "weighted", "radical", "closed"], 0)
+    for _ in range(400):
+        g = _random_equality_grid(rng)
+        if g is None:
+            continue
+        d = len(g.dangling)
+        if d:
+            tensor, _ = contract(g)
+            assert list(tensor.entries) == [_no_pruning_holant(g, p) for p in range(1 << d)]
+        else:
+            assert holant(g) == _no_pruning_holant(g)
+            seen["closed"] += 1
+        vs = g.vertices
+        owners = [vid for vid, _ in g.dangling]
+        seen["two_dangling_on_eq"] += any(_is_eq(vs[v].sig) and owners.count(v) >= 2
+                                          for v in set(owners))
+        seen["eq_eq_edge"] += any(_is_eq(vs[a[0]].sig) and _is_eq(vs[b[0]].sig)
+                                  for a, b in g.edges)
+        for comp in connected_components(vs, [(a[0], b[0]) for a, b in g.edges]):
+            if all(_is_eq(vs[v].sig) for v in comp):
+                seen["eq_only_dangling" if set(owners) & comp else "eq_only_closed"] += 1
+        eq_values = [x for v in vs.values() if _is_eq(v.sig) for x in v.sig.values]
+        seen["weighted"] += any(x != 1 for x in eq_values if x != 0)
+        seen["radical"] += any(isinstance(x, QuadExt) for x in eq_values)
+    assert min(seen.values()) >= 10, seen
+
+
+def test_close_with_arbitrary_unaries_matches_no_pruning_reference():
+    """Unaries are equality-type vertices of arity 1: closing a gadget
+    with any of them (zero, negative or radical entries) folds them
+    into the weights of its dangling classes."""
+    rng = random.Random(32)
+    checked = 0
+    while checked < 40:
+        gadget = (_random_gadget(rng, rand_nonneg_sig(rng)) if rng.random() < 0.5
+                  else _random_equality_grid(rng))
+        if gadget is None or not gadget.dangling or len(gadget.edges) + len(gadget.dangling) > 10:
+            continue
+        closed = close_with_unaries(gadget, [SymSig([_weight(rng), _weight(rng)])
+                                             for _ in gadget.dangling])
+        assert holant(closed) == _no_pruning_holant(closed)
+        checked += 1
+
+
+def test_equality_only_components():
+    """Two weighted equalities joined by a triple edge give a1*a2 + b1*b2;
+    next to another grid they multiply it, and one dangling equality
+    contracts to its own weights."""
+    r2 = QuadExt(0, 1, 2)
+    pair = SignatureGrid()
+    pair.add_vertex("p", SymSig([2, 0, 0, r2]), "L")
+    pair.add_vertex("q", SymSig([Fraction(1, 3), 0, 0, -1]), "R")
+    for s in range(3):
+        pair.add_edge(("p", s), ("q", s))
+    assert holant(pair) == Fraction(2, 3) - r2
+    other = bipartite_grid(SymSig([1, 2, 3, 5]), PAIRS_2x2)
+    assert holant(disjoint_union(pair, other)) == holant(pair) * holant(other)
+    solo = SignatureGrid()
+    solo.add_vertex("q", SymSig([3, 0, 0, Fraction(1, 2)]), ("L", "R", "L"))
+    for s in range(3):
+        solo.mark_dangling(("q", s))
+    tensor, _ = contract(solo)
+    assert tensor.entries == (3, 0, 0, 0, 0, 0, 0, Fraction(1, 2))
+
+
+def test_evaluator_equals_planar_pipeline_at_320_grid_vertices():
+    """Seeded bead/ladder instances of 320 grid vertices (480 edges),
+    each an exact evaluation past the reach of edge-keyed tables."""
+    for seed in (1, 2, 3):
+        inst = bead_ladder_instance(seed, 320)
+        value = holant(inst.grid, max_edges=len(inst.grid.edges))
+        assert value != 0
+        assert value == solve_planar_moderate_cover(inst)
+
+
+def test_table_emptied_while_an_internal_variable_is_open():
+    """An all-zero vertex absorbed first empties the table while the
+    edge it opened is still open: every entry of the contraction is 0."""
+    g = SignatureGrid()
+    g.add_vertex("a", SymSig([1, 2, 3]), ("L", "L"))
+    g.add_vertex("b", SymSig([1, 1, 1]), ("R", "L"))
+    g.add_vertex("c", Tensor(2, [0, 0, 0, 0]), ("R", "L"))
+    g.add_vertex("d", SymSig([1, 1]), ("R",))
+    g.add_edge(("a", 1), ("b", 0))
+    g.add_edge(("b", 1), ("c", 0))
+    g.add_edge(("c", 1), ("d", 0))
+    g.mark_dangling(("a", 0))
+    tensor, _ = contract(g)
+    assert tensor.entries == (0, 0) == tuple(_no_pruning_holant(g, p) for p in range(2))
