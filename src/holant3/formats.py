@@ -1,17 +1,18 @@
 """Structured-text (JSON) formats for every external interface.
 
-Rationals travel as "p/q" or "p" strings, never decimals; quadratic
-extensions as {"base", "coeff", "radicand"} objects; signatures as
-{"arity": n, "weights": [...]}. Grids list vertices, edges as
-[vid, slot, vid, slot] quadruples and dangling ports; planar graphs list
-per-vertex rotations as [edge index, end] pairs; embedded grids add a
-rotation (slot order) per vertex. Every emitted value parses back to an
-identical exact value.
+Rationals travel as "p/q" or "p" strings or as JSON ints, never as
+decimals, exponents or bools; quadratic extensions as {"base", "coeff",
+"radicand"} objects; signatures as {"arity": n, "weights": [...]}. Grids
+list vertices, edges as [vid, slot, vid, slot] quadruples and dangling
+ports; planar graphs list per-vertex rotations as [edge index, end]
+pairs; embedded grids add a rotation (slot order) per vertex. Parsers
+take the decoded JSON document, not its text. Every emitted value parses
+back to an identical exact value.
 """
 
 from __future__ import annotations
 
-import json
+import re
 from fractions import Fraction
 
 from .errors import FormatError, ParseError
@@ -22,13 +23,19 @@ from .planar import PlanarMultigraph
 from .signatures import EQ3, SymSig, Tensor
 
 
+_RATIONAL = re.compile(r"\s*([+-]?[0-9]+)(?:/([0-9]+))?\s*")
+
+
 def parse_rational(text) -> Fraction:
-    if isinstance(text, int):
+    """An int (not a bool) or a "p" / "p/q" digit string; no decimals,
+    exponents or digit separators."""
+    if type(text) is int:
         return Fraction(text)
-    if not isinstance(text, str):
-        raise ParseError(f"rational expected, got {text!r}")
+    m = _RATIONAL.fullmatch(text) if isinstance(text, str) else None
+    if m is None:
+        raise ParseError(f'bad rational {text!r}: expected an int or a "p" or "p/q" string')
     try:
-        return Fraction(text.strip())
+        return Fraction(int(m[1]), int(m[2] or 1))
     except (ValueError, ZeroDivisionError) as e:
         raise ParseError(f"bad rational {text!r}: {e}") from e
 
@@ -104,11 +111,6 @@ def _parse_vertex_sig(obj):
 
 
 def parse_grid(obj) -> SignatureGrid:
-    if isinstance(obj, str):
-        try:
-            obj = json.loads(obj)
-        except json.JSONDecodeError as e:
-            raise ParseError(f"bad grid JSON: {e}") from e
     g = SignatureGrid()
     sigs: dict = {}            # one parsed signature per distinct spec
     try:
@@ -181,11 +183,6 @@ def format_grid(g: SignatureGrid) -> dict:
 
 
 def parse_planar_graph(obj) -> PlanarMultigraph:
-    if isinstance(obj, str):
-        try:
-            obj = json.loads(obj)
-        except json.JSONDecodeError as e:
-            raise ParseError(f"bad planar graph JSON: {e}") from e
     try:
         edges = [(_vid(e[0]), _vid(e[1]), parse_rational(e[2])) for e in obj["edges"]]
         vertices = [_vid(v["id"]) for v in obj["vertices"]]
@@ -212,11 +209,6 @@ def format_planar_graph(g: PlanarMultigraph) -> dict:
 
 
 def parse_embedded_grid(obj) -> EmbeddedGrid:
-    if isinstance(obj, str):
-        try:
-            obj = json.loads(obj)
-        except json.JSONDecodeError as e:
-            raise ParseError(f"bad embedded grid JSON: {e}") from e
     grid = parse_grid(obj)
     rot_spec = obj.get("rotations")
     if rot_spec is None:
@@ -229,10 +221,7 @@ def parse_embedded_grid(obj) -> EmbeddedGrid:
                 raise ParseError(f"rotation entry {vid!r} names no grid vertex")
             if vid in rotations:
                 raise ParseError(f"vertex {vid!r} has more than one rotation entry")
-            slots = list(slots)
-            if not all(isinstance(slot, int) for slot in slots):
-                raise ParseError(f"rotation of {vid!r} lists a slot that is not an integer")
-            rotations[vid] = slots
+            rotations[vid] = [_slot(slot) for slot in slots]
     except (TypeError, ValueError) as e:
         raise ParseError(f"bad rotations: {e}") from e
     return EmbeddedGrid(grid, rotations)
@@ -246,11 +235,6 @@ def format_embedded_grid(inst: EmbeddedGrid) -> dict:
 
 def parse_hypergraph(obj):
     """{"ground": [...], "sets": [[a,b,c], ...]} -> list of sets."""
-    if isinstance(obj, str):
-        try:
-            obj = json.loads(obj)
-        except json.JSONDecodeError as e:
-            raise ParseError(f"bad hypergraph JSON: {e}") from e
     try:
         sets = [list(s) for s in obj["sets"]]
         listed = {x for s in sets for x in s}

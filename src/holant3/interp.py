@@ -37,9 +37,9 @@ from .errors import (
     UnderdeterminedInterpolation,
 )
 from .exact import Scalar, demote, scalar_is_zero, scalar_sign
+from .gadgets import build_transfer_chain
 from .grid import SignatureGrid, holant
 from .signatures import (
-    EQ3,
     JordanData,
     Mat2,
     SymSig,
@@ -128,26 +128,24 @@ def substitute_placeholder_matrix(grid: SignatureGrid, vid, m: Mat2) -> Signatur
     return g
 
 
-def substitute_placeholder_chain(grid: SignatureGrid, vid, f: SymSig, s: int) -> SignatureGrid:
-    """Replace a placeholder with a length-s transfer chain (s = 0 wires
-    the two neighbors together directly)."""
+def substitute_placeholder_chain(grid: SignatureGrid, vid, chain) -> SignatureGrid:
+    """Replace a placeholder with a copy of a transfer chain from
+    build_transfer_chain, its dangling L and R ports taking the
+    placeholder's slots 0 and 1; chain None (length 0) wires the two
+    neighbors together directly. Chain vertex cid becomes (vid, *cid)."""
     g = grid.copy()
     row_partner, col_partner = _neighbors_of_placeholder(g, vid)
     g.edges = [e for e in g.edges if e[0][0] != vid and e[1][0] != vid]
     del g.vertices[vid]
-    if s == 0:
+    if chain is None:
         g.add_edge(col_partner, row_partner)
-        g.validate()
-        return g
-    for i in range(s):
-        g.add_vertex((vid, "f", i), f, "L")
-        g.add_vertex((vid, "q", i), EQ3, "R")
-        g.add_edge(((vid, "f", i), 1), ((vid, "q", i), 0))
-        g.add_edge(((vid, "f", i), 2), ((vid, "q", i), 1))
-    for i in range(s - 1):
-        g.add_edge(((vid, "f", i + 1), 0), ((vid, "q", i), 2))
-    g.add_edge(((vid, "f", 0), 0), row_partner)
-    g.add_edge(((vid, "q", s - 1), 2), col_partner)
+    else:
+        for cid, v in chain.vertices.items():
+            g.add_vertex((vid, *cid), v.sig, v.polarities)
+        for (va, sa), (vb, sb) in chain.edges:
+            g.add_edge(((vid, *va), sa), ((vid, *vb), sb))
+        for (cid, slot), partner in zip(chain.dangling, (row_partner, col_partner)):
+            g.add_edge(((vid, *cid), slot), partner)
     g.validate()
     return g
 
@@ -192,9 +190,10 @@ def stratify_holant_with_d(grid: SignatureGrid, f: SymSig, extra_lengths: int = 
 
     values = []
     for s in range(n + 1 + extra_lengths):
+        chain = build_transfer_chain(form, s) if s else None
         g_s = grid
         for vid in d_ids:
-            g_s = substitute_placeholder_chain(g_s, vid, form, s)
+            g_s = substitute_placeholder_chain(g_s, vid, chain)
         values.append(holant(g_s, max_edges=max_edges))
 
     lam, mu = jd.lam, jd.mu

@@ -9,10 +9,13 @@ both are realizable as weighted planar matchgates:
 * gate B: star u-t_i with weight 2 plus one weight-1 edge t0-t1,
   externals (t0, t1, t2), scalar 1  ->  [2,0,2,0]
 
-Replacing every vertex of an embedded 3-regular bipartite grid by its
-gate and joining external stubs along the original edges yields a
-planar graph whose weighted perfect-matching count, times the gate
-scalars, equals the grid's partition function exactly.
+holographic_reduce splices a copy of crossing_gate (gate A) or
+equality_gate (gate B), the one definition of each, for every vertex of
+an embedded 3-regular bipartite grid and joins the external stubs along
+the original edges. The result is a planar graph whose weighted
+perfect-matching count, times the gate scalars, equals the grid's
+partition function exactly. The input embedding is checked before
+splicing; count_pm is the one genus check on the composed graph.
 """
 
 from __future__ import annotations
@@ -111,16 +114,17 @@ class EmbeddedGrid:
             raise NotPlanarInstance(str(e)) from e
 
 
-# gate-local rotations with the joining edge in the stub slot:
-#   gate A t_k: [stub, edge to t_{k+1}, spoke, edge to t_{k-1}]
-#   gate B t_0: [stub, chord t0-t1, spoke]; t_1: [stub, spoke, chord]; t_2: [stub, spoke]
-
 def holographic_reduce(inst: EmbeddedGrid):
-    """Replace [0,1,1,0] vertices by gate A and equality vertices by
-    gate B; join stubs along the original edges with weight-1 edges.
+    """Splice a copy of gate A for each [0,1,1,0] vertex and of gate B
+    for each equality vertex, and join the external stubs along the
+    original edges with weight-1 edges. Gate vertex name becomes
+    (vid, name) and external k becomes (vid, k), where k is the
+    position of the joined slot in the vertex's rotation.
 
     Returns (graph, scalar) with scalar * count_pm(graph) equal to the
-    partition function of the input grid.
+    partition function of the input grid. A gate is a disk with its
+    externals on the outer face, so splicing keeps the genus that
+    validate_planar checked; count_pm checks the composed graph.
     """
     inst.validate_planar()
     grid = inst.grid
@@ -139,71 +143,30 @@ def holographic_reduce(inst: EmbeddedGrid):
         else:
             raise WrongSignatures(f"vertex {vid!r} mixes polarities")
 
-    vertices = []
-    edges = []
-    rotation: dict = {}
-    stub_slot: dict = {}   # (vid, rotation position) -> (t-vertex, index in rotation list)
+    vertices, edges, rotation = [], [], {}
+    scalar = Fraction(1)
+    for ids, gate in ((left_ids, crossing_gate()), (right_ids, equality_gate())):
+        g = gate.graph
+        for vid in ids:
+            name = {v: (vid, v) for v in g.vertices}
+            name.update((t, (vid, k)) for k, t in enumerate(gate.external))
+            offset = len(edges)
+            vertices.extend(name[v] for v in g.vertices)
+            edges.extend((name[a], name[b], w) for a, b, w in g.edges)
+            for v, rot in g.rotation.items():
+                rotation[name[v]] = [(idx + offset, end) for idx, end in rot]
+            for t in gate.external:
+                rotation[name[t]].insert(0, None)   # the stub, joined below
+            scalar *= gate.scalar
 
-    for vid in left_ids + right_ids:
-        is_left = grid.vertices[vid].polarities[0] == "L"
-        u = (vid, "u")
-        ts = [(vid, k) for k in range(3)]
-        vertices.append(u)
-        vertices.extend(ts)
-        if is_left:
-            w = Fraction(-1)
-            tri = []
-            for k in range(3):
-                tri.append(len(edges))
-                edges.append((ts[k], ts[(k + 1) % 3], w))
-            spokes = []
-            for k in range(3):
-                spokes.append(len(edges))
-                edges.append((u, ts[k], w))
-            rotation[u] = [(spokes[k], 0) for k in range(3)]
-            for k in range(3):
-                rotation[ts[k]] = [None,                       # stub
-                                   (tri[k], 0),                # to t_{k+1}
-                                   (spokes[k], 1),             # to u
-                                   (tri[(k + 2) % 3], 1)]      # to t_{k-1}
-                stub_slot[(vid, k)] = (ts[k], 0)
-        else:
-            spokes = []
-            for k in range(3):
-                spokes.append(len(edges))
-                edges.append((u, ts[k], Fraction(2)))
-            chord = len(edges)
-            edges.append((ts[0], ts[1], Fraction(1)))
-            rotation[u] = [(spokes[k], 0) for k in range(3)]
-            rotation[ts[0]] = [None, (chord, 0), (spokes[0], 1)]
-            rotation[ts[1]] = [None, (spokes[1], 1), (chord, 1)]
-            rotation[ts[2]] = [None, (spokes[2], 1)]
-            for k in range(3):
-                stub_slot[(vid, k)] = (ts[k], 0)
-
-    # join externals along the original edges; external index = position
-    # of the slot in the vertex's rotation order
-    pos_in_rotation = {}
-    for vid, v in grid.vertices.items():
-        for pos, slot in enumerate(inst.rotations[vid]):
-            pos_in_rotation[(vid, slot)] = pos
-    for (a, b) in grid.edges:
-        pa = pos_in_rotation[a]
-        pb = pos_in_rotation[b]
-        ta, ia = stub_slot[(a[0], pa)]
-        tb, ib = stub_slot[(b[0], pb)]
-        idx = len(edges)
+    position = {(vid, slot): k for vid, slots in inst.rotations.items()
+                for k, slot in enumerate(slots)}
+    for a, b in grid.edges:
+        ta, tb = (a[0], position[a]), (b[0], position[b])
+        rotation[ta][0] = (len(edges), 0)
+        rotation[tb][0] = (len(edges), 1)
         edges.append((ta, tb, Fraction(1)))
-        rotation[ta][ia] = (idx, 0)
-        rotation[tb][ib] = (idx, 1)
-
-    graph = PlanarMultigraph(vertices, edges, rotation)
-    try:
-        check_genus_zero(graph)
-    except NotGenusZero as e:
-        raise NotPlanarInstance(f"composed graph is not planar: {e}") from e
-    scalar = Fraction(1, 4) ** len(left_ids)
-    return graph, scalar
+    return PlanarMultigraph(vertices, edges, rotation), scalar
 
 
 def solve_planar_moderate_cover(inst: EmbeddedGrid) -> Fraction:

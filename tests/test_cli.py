@@ -116,6 +116,22 @@ def test_bad_rotation_entries_are_input_errors(rotations, message, tmp_path):
     assert "Traceback" not in err
 
 
+def test_bool_rotation_slot_is_an_input_error(tmp_path):
+    path = tmp_path / "emb.json"
+    path.write_text(json.dumps({**THETA, "rotations": [[0, [0, True, 2]], [1, [2, 1, 0]]]}))
+    code, out, err = run_cli(["solve-planar-cover", "--input", str(path)])
+    assert code == 2 and out == ""
+    assert err.startswith("input error:") and "not an integer" in err
+
+
+def test_json_text_document_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "emb.json"
+    path.write_text(json.dumps(json.dumps({**THETA, "rotations": [[0, [0, 1, 2]], [1, [2, 1, 0]]]})))
+    assert main(["solve-planar-cover", "--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("input error:")
+
+
 def test_solve_planar_cover(tmp_path, capsys):
     inst = theta_chain_grid(2, ONE_OR_TWO)
     path = tmp_path / "emb.json"
@@ -377,6 +393,18 @@ def test_solve_rejects_bad_left_specs(specs, message, tmp_path, capsys):
     assert main(["solve", "--input", path]) == 2
     err = capsys.readouterr().err
     assert err.startswith("input error:") and message in err
+
+
+@pytest.mark.parametrize("spec", ["[1e5,0,0,1]", "[0.5,1,1,0]", "[1_000,0,0,1]",
+                                  {"arity": 3, "weights": [True, 0, 0, 1]}])
+def test_decimal_exponent_and_bool_weights_are_input_errors(spec, tmp_path, capsys):
+    path = _write_left_specs(tmp_path, [spec] * 3)
+    assert main(["eval", "--input", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("input error:") and "bad rational" in captured.err
+    if isinstance(spec, str):
+        assert main(["classify", "--signature", spec]) == 2
 
 
 def test_argument_parser_is_built_once(tmp_path, capsys, monkeypatch):

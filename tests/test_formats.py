@@ -36,6 +36,31 @@ def test_rational_round_trip():
         parse_rational("3.5x")
 
 
+@pytest.mark.parametrize("text, value", [
+    ("3", 3), ("-3/4", Fraction(-3, 4)), ("+2/6", Fraction(1, 3)), (" 7 ", 7), ("0/5", 0),
+    (12, 12), (-1, -1),
+])
+def test_rational_accepts_ints_and_p_over_q(text, value):
+    q = parse_rational(text)
+    assert q == value and type(q) is Fraction
+
+
+@pytest.mark.parametrize("text", [
+    "1e5", "1e200000", "0.5", ".5", "5.", "1_000", "0x10", "inf", "nan", "1/2/3", "1/-2",
+    "1/0", "", " ", "\u0661", True, False, 0.5, 1e5, None, [1],
+])
+def test_rational_refuses_decimals_exponents_and_bools(text):
+    with pytest.raises(ParseError, match="bad rational"):
+        parse_rational(text)
+
+
+@pytest.mark.parametrize("parse", [parse_grid, parse_planar_graph, parse_embedded_grid,
+                                   parse_hypergraph])
+def test_json_text_is_not_a_document(parse):
+    with pytest.raises(ParseError):
+        parse('{"vertices": [], "edges": [], "rotations": [], "sets": []}')
+
+
 def test_scalar_round_trip_quadext():
     v = QuadExt(Fraction(5, 2), Fraction(-1, 3), Fraction(33))
     enc = format_scalar(v)

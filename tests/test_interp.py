@@ -345,3 +345,32 @@ def test_split_parameters_nonnegative_on_1000_signatures():
         jd = jordan(straddled_from_f(SymSig([1, a, b, c])))
         assert jd.x >= 0 and jd.y >= 0
         done += 1
+
+
+def test_spliced_chain_equals_the_matrix_power(monkeypatch):
+    """A placeholder replaced by a copy of build_transfer_chain(f, s) has
+    the value of the placeholder replaced by the s-th power of the
+    straddled matrix; stratify builds one chain per length s >= 1."""
+    from holant3 import interp
+    from holant3.gadgets import build_transfer_chain
+    from holant3.signatures import matrix_power, normalize
+
+    rng = random.Random(57)
+    for _ in range(4):
+        f, _, _ = normalize(SymSig([1, rand_positive(rng, hi=4, den=2),
+                                    rand_positive(rng, hi=4, den=2), rand_positive(rng, hi=4, den=2)]))
+        grid = add_placeholder_on_edge(bipartite_grid(f, PAIRS_2x2), 2)
+        (vid,) = interp._placeholder_ids(grid)
+        for s in range(4):
+            chain = build_transfer_chain(f, s) if s else None
+            spliced = interp.substitute_placeholder_chain(grid, vid, chain)
+            assert len(spliced.vertices) == len(grid.vertices) - 1 + 2 * s
+            direct = substitute_placeholder_matrix(grid, vid, matrix_power(straddled_from_f(f), s))
+            assert holant(spliced) == holant(direct)
+
+    built = []
+    monkeypatch.setattr(interp, "build_transfer_chain",
+                        lambda f, s: built.append(s) or build_transfer_chain(f, s))
+    grid = add_placeholder_on_edge(add_placeholder_on_edge(bipartite_grid(f, PAIRS_2x2), 0), 1)
+    interp.stratify_holant_with_d(grid, f, extra_lengths=1, max_edges=32)
+    assert built == [1, 2, 3]

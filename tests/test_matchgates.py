@@ -1,8 +1,11 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
+from holant3 import matchgates, planar
 from holant3.errors import NotPlanarInstance, WrongSignatures
 from holant3.grid import SignatureGrid, holant
 from holant3.matchgates import (
@@ -15,9 +18,16 @@ from holant3.matchgates import (
     matchgate_signature,
     solve_planar_moderate_cover,
 )
-from holant3.planar import PlanarMultigraph, count_pm
+from holant3.formats import format_planar_graph
+from holant3.planar import PlanarMultigraph, check_genus_zero, count_pm
 from holant3.signatures import EQ3, SymSig, hadamard_transform
-from conftest import bead_expand, ladder_expand, random_embedded_instance, theta_chain_grid
+from conftest import (
+    bead_expand,
+    bead_ladder_instance,
+    ladder_expand,
+    random_embedded_instance,
+    theta_chain_grid,
+)
 
 
 def test_crossing_gate_signature():
@@ -175,3 +185,84 @@ def test_theta_chain_past_the_brute_force_cap(k, expected):
     # each R_i fixes one bit and [0,1,1,0] makes neighbouring bits
     # differ around the cycle: 2 covers for even k, none for odd k
     assert solve_planar_moderate_cover(theta_chain_grid(k, ONE_OR_TWO)) == expected
+
+
+# The composed graph of theta_chain_grid(2, ONE_OR_TWO), recorded from the
+# gate construction that listed both gates inline: Pfaffian indices follow
+# the vertex order and the fill follows the indices, so the spliced gates
+# must reproduce the same vertices, edges, weights and rotations.
+L0, L1, R0, R1 = ("L", 0), ("L", 1), ("R", 0), ("R", 1)
+THETA2_ROTATIONS = [
+    ((L0, "u"), [[3, 0], [4, 0], [5, 0]]),
+    ((L0, 0), [[22, 0], [0, 0], [3, 1], [2, 1]]),
+    ((L0, 1), [[20, 0], [1, 0], [4, 1], [0, 1]]),
+    ((L0, 2), [[21, 0], [2, 0], [5, 1], [1, 1]]),
+    ((L1, "u"), [[9, 0], [10, 0], [11, 0]]),
+    ((L1, 0), [[25, 0], [6, 0], [9, 1], [8, 1]]),
+    ((L1, 1), [[23, 0], [7, 0], [10, 1], [6, 1]]),
+    ((L1, 2), [[24, 0], [8, 0], [11, 1], [7, 1]]),
+    ((R0, "u"), [[12, 0], [13, 0], [14, 0]]),
+    ((R0, 0), [[21, 1], [15, 0], [12, 1]]),
+    ((R0, 1), [[20, 1], [13, 1], [15, 1]]),
+    ((R0, 2), [[25, 1], [14, 1]]),
+    ((R1, "u"), [[16, 0], [17, 0], [18, 0]]),
+    ((R1, 0), [[24, 1], [19, 0], [16, 1]]),
+    ((R1, 1), [[23, 1], [17, 1], [19, 1]]),
+    ((R1, 2), [[22, 1], [18, 1]]),
+]
+THETA2_EDGES = [
+    [(L0, 0), (L0, 1), "-1"], [(L0, 1), (L0, 2), "-1"], [(L0, 2), (L0, 0), "-1"],
+    [(L0, "u"), (L0, 0), "-1"], [(L0, "u"), (L0, 1), "-1"], [(L0, "u"), (L0, 2), "-1"],
+    [(L1, 0), (L1, 1), "-1"], [(L1, 1), (L1, 2), "-1"], [(L1, 2), (L1, 0), "-1"],
+    [(L1, "u"), (L1, 0), "-1"], [(L1, "u"), (L1, 1), "-1"], [(L1, "u"), (L1, 2), "-1"],
+    [(R0, "u"), (R0, 0), "2"], [(R0, "u"), (R0, 1), "2"], [(R0, "u"), (R0, 2), "2"],
+    [(R0, 0), (R0, 1), "1"],
+    [(R1, "u"), (R1, 0), "2"], [(R1, "u"), (R1, 1), "2"], [(R1, "u"), (R1, 2), "2"],
+    [(R1, 0), (R1, 1), "1"],
+    [(L0, 1), (R0, 1), "1"], [(L0, 2), (R0, 0), "1"], [(L0, 0), (R1, 2), "1"],
+    [(L1, 1), (R1, 1), "1"], [(L1, 2), (R1, 0), "1"], [(L1, 0), (R0, 2), "1"],
+]
+
+
+def test_composed_graph_is_pinned():
+    graph, scalar = holographic_reduce(theta_chain_grid(2, ONE_OR_TWO))
+    assert format_planar_graph(graph) == {
+        "vertices": [{"id": v, "rotation": rot} for v, rot in THETA2_ROTATIONS],
+        "edges": THETA2_EDGES,
+    }
+    assert scalar == Fraction(1, 16) and type(scalar) is Fraction
+
+    inst = random_embedded_instance(random.Random(0), ONE_OR_TWO, max_side=4)
+    graph, scalar = holographic_reduce(inst)
+    text = json.dumps(format_planar_graph(graph), sort_keys=True)
+    assert (len(graph.vertices), len(graph.edges)) == (32, 52)
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "82a4bac877c32703426a3c66bfd65d6bb435578db83bd5989c72310a06816dd2"
+    assert scalar == Fraction(1, 256)
+
+
+def test_spliced_gates_keep_genus_zero():
+    """Each gate is a disk with its externals on the outer face in the
+    rotation's order, so the composed graph of a planar instance is
+    planar: count_pm's Euler check is the only one it needs."""
+    rng = random.Random(83)
+    for _ in range(20):
+        graph, _ = holographic_reduce(random_embedded_instance(rng, ONE_OR_TWO, max_side=6))
+        check_genus_zero(graph)
+    check_genus_zero(holographic_reduce(bead_ladder_instance(7, 120))[0])
+
+
+def test_solve_planar_cover_traces_faces_twice(monkeypatch):
+    """Once for the input embedding, once in count_pm for the composed
+    graph; holographic_reduce adds no third check."""
+    calls = []
+
+    def counted(g):
+        calls.append(len(g.vertices))
+        return check_genus_zero(g)
+
+    monkeypatch.setattr(matchgates, "check_genus_zero", counted)
+    monkeypatch.setattr(planar, "check_genus_zero", counted)
+    inst = theta_chain_grid(2, ONE_OR_TWO)
+    assert solve_planar_moderate_cover(inst) == 2
+    assert calls == [4, 16]
