@@ -17,6 +17,7 @@ from fractions import Fraction
 from . import errors
 from .dichotomy import FP, classify_ternary, verify_case_identities, verify_factorization_identity
 from .formats import (
+    any_digits,
     format_grid,
     format_scalar,
     format_tensor,
@@ -351,13 +352,12 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    # exact values may run past the interpreter's default int/str digit limit
-    if hasattr(sys, "set_int_max_str_digits"):
-        sys.set_int_max_str_digits(0)
     args = _parser().parse_args(argv)
     try:
         _check_counts(args)
-        return args.func(args)
+        # exact values may run past the interpreter's int/str digit limit
+        with any_digits():
+            return args.func(args)
     except (errors.ParseError, errors.FormatError) as e:
         print(f"input error: {e}", file=sys.stderr)
         return EXIT_PARSE

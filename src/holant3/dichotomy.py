@@ -16,7 +16,8 @@ from fractions import Fraction
 
 from .errors import ArityMismatch, NegativeEntry, ZeroDelta
 from .exact import frac, scalar_is_zero
-from .signatures import SymSig, is_degenerate, jordan, normalize, straddled_from_f
+from .signatures import (SymSig, affine_scale, is_degenerate, is_generalized_equality, jordan,
+                         normalize, straddled_from_f)
 
 FP = "FP"
 HARD = "#P-hard"
@@ -37,15 +38,12 @@ class TernaryClassification:
 
 
 def _tractable_cases(f: SymSig) -> list[int]:
-    x0, x1, x2, x3 = f.values
     cases = []
     if is_degenerate(f):
         cases.append(1)
-    if scalar_is_zero(x1) and scalar_is_zero(x2):
+    if is_generalized_equality(f):
         cases.append(2)
-    if (scalar_is_zero(x1) and scalar_is_zero(x3) and x0 == x2) or (
-        scalar_is_zero(x0) and scalar_is_zero(x2) and x1 == x3
-    ):
+    if affine_scale(f) is not None:
         cases.append(3)
     return cases
 

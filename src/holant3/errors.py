@@ -89,10 +89,6 @@ class EigenvectorSeed(HolantError):
     """Interpolation seed is proportional to a row eigenvector."""
 
 
-class NotDiagonalizable(HolantError):
-    """Matrix lacks two distinct eigenvalues in the working field."""
-
-
 class UnderdeterminedInterpolation(HolantError):
     """A zero eigenvalue collapsed the system and the target needs the
     lost coefficients."""

@@ -13,6 +13,7 @@ back to an identical exact value.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 
 from .errors import FormatError, ParseError
@@ -21,6 +22,26 @@ from .grid import SignatureGrid
 from .matchgates import EmbeddedGrid
 from .planar import PlanarMultigraph
 from .signatures import EQ3, SymSig, Tensor
+
+
+# Python before 3.10.7 has no int/str digit limit
+_get_digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
+_set_digit_limit = getattr(sys, "set_int_max_str_digits", lambda limit: None)
+
+
+class any_digits:
+    """Context manager that lifts the interpreter's int/str digit limit
+    for its block only: exact values may run past it, and every value
+    must round-trip. The conversion stays quadratic in the digit count.
+    A class, not a generator: it wraps every rational conversion, and a
+    class costs less per block."""
+
+    def __enter__(self):
+        self.limit = _get_digit_limit()
+        _set_digit_limit(0)
+
+    def __exit__(self, *exc):
+        _set_digit_limit(self.limit)
 
 
 _RATIONAL = re.compile(r"\s*([+-]?[0-9]+)(?:/([0-9]+))?\s*")
@@ -35,14 +56,16 @@ def parse_rational(text) -> Fraction:
     if m is None:
         raise ParseError(f'bad rational {text!r}: expected an int or a "p" or "p/q" string')
     try:
-        return Fraction(int(m[1]), int(m[2] or 1))
+        with any_digits():
+            return Fraction(int(m[1]), int(m[2] or 1))
     except (ValueError, ZeroDivisionError) as e:
         raise ParseError(f"bad rational {text!r}: {e}") from e
 
 
 def format_rational(q: Fraction) -> str:
     q = frac(q)
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+    with any_digits():
+        return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
 def format_scalar(x: Scalar):

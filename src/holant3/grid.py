@@ -37,7 +37,7 @@ from .errors import (
     TooManyEdges,
 )
 from .exact import Scalar, demote, scalar_is_zero
-from .signatures import EQ3, SymSig, Tensor
+from .signatures import EQ3, SymSig, Tensor, is_generalized_equality
 
 Port = tuple  # (vertex id, slot index)
 
@@ -168,9 +168,7 @@ MAX_LIVE_STATES = 1 << 20
 
 
 def _is_equality(sig) -> bool:
-    """[a,0,...,0,b] of arity >= 1: every port carries one value."""
-    return (isinstance(sig, SymSig) and sig.arity >= 1
-            and all(scalar_is_zero(x) for x in sig.values[1:-1]))
+    return isinstance(sig, SymSig) and is_generalized_equality(sig)
 
 
 def _patterns(sig, shape: tuple, k: int):

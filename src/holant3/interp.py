@@ -13,7 +13,11 @@ Three executable reductions live here:
 * interpolate_unary: with a diagonalizable 2x2 straddled matrix M and a
   seed unary that is not a row eigenvector, the family seed . M^j spans
   enough directions to recover the Holant of a grid containing any
-  target unary, again by a Vandermonde solve.
+  target unary.
+
+  Both interpolations share one strata solve, _recover: the values at
+  s = 0..n give the strata over the nodes lam^k mu^(n-k), and the target
+  weighs stratum k by r_lam^k r_mu^(n-k).
 
 * split_reduction: a degenerate straddled binary is an outer product
   [1,y]^T [1,x]; replacing unary [1,x] occurrences by it and absorbing
@@ -26,28 +30,30 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd
+from math import gcd
 
 from .errors import (
     ArityMismatch,
     CountMismatch,
     DegenerateG,
     EigenvectorSeed,
-    NotDiagonalizable,
     UnderdeterminedInterpolation,
 )
-from .exact import Scalar, demote, scalar_is_zero, scalar_sign
+from .exact import Scalar, demote, scalar_is_zero
 from .gadgets import build_transfer_chain
-from .grid import SignatureGrid, holant
+from .grid import DEFAULT_EDGE_CAP, SignatureGrid, holant
+from .linalg import vandermonde_solve
 from .signatures import (
     JordanData,
     Mat2,
     SymSig,
     Tensor,
+    eigenvalues,
     jordan,
     matrix_power,
     normalize,
     straddled_from_f,
+    sym_to_tensor,
 )
 
 
@@ -105,17 +111,11 @@ def _placeholder_ids(grid: SignatureGrid) -> list:
 
 
 def _neighbors_of_placeholder(grid: SignatureGrid, vid):
-    row_partner = col_partner = None
-    for a, b in grid.edges:
-        for p, q in ((a, b), (b, a)):
-            if p[0] == vid:
-                if p[1] == 0:
-                    row_partner = q
-                else:
-                    col_partner = q
-    if row_partner is None or col_partner is None:
+    """The ports wired to the placeholder's row (0) and column (1) slots."""
+    partner = {p[1]: q for a, b in grid.edges for p, q in ((a, b), (b, a)) if p[0] == vid}
+    if 0 not in partner or 1 not in partner:
         raise ArityMismatch(f"placeholder {vid!r} is not fully wired")
-    return row_partner, col_partner
+    return partner[0], partner[1]
 
 
 def substitute_placeholder_matrix(grid: SignatureGrid, vid, m: Mat2) -> SignatureGrid:
@@ -150,6 +150,29 @@ def substitute_placeholder_chain(grid: SignatureGrid, vid, chain) -> SignatureGr
     return g
 
 
+def _recover(values, lam, mu, n: int, r_lam, r_mu):
+    """The one strata solve: (nodes, strata, value) with
+    values[s] == sum_k strata[k] * nodes[k]^s, nodes[k] = lam^k mu^(n-k),
+    and value = sum_k r_lam^k r_mu^(n-k) strata[k].
+
+    A zero lam kills every stratum but the all-mu one for s >= 1: strata
+    is None and only strata[0] = values[1] / mu^n is known. That is the
+    value when r_lam == 0; for n == 1, values[0] gives the other stratum.
+    Otherwise raises UnderdeterminedInterpolation.
+    """
+    nodes = tuple(lam**k * mu ** (n - k) for k in range(n + 1))
+    if not scalar_is_zero(lam):
+        strata = tuple(vandermonde_solve(list(nodes), values[:n + 1]))
+        value = sum((r_lam**k * r_mu ** (n - k) * c for k, c in enumerate(strata)), Fraction(0))
+        return nodes, strata, demote(value)
+    all_mu = values[1] / mu**n
+    if scalar_is_zero(r_lam):
+        return nodes, None, demote(r_mu**n * all_mu)
+    if n == 1:
+        return nodes, None, demote(r_mu * all_mu + r_lam * (values[0] - all_mu))
+    raise UnderdeterminedInterpolation("zero eigenvalue: only the all-mu stratum is recoverable")
+
+
 @dataclass(frozen=True)
 class StratifiedSystem:
     """The interpolation system: chain-substituted Holant values index
@@ -166,17 +189,11 @@ class StratifiedSystem:
     nodes: tuple        # lam^i * mu^(n-i), i = number of lam-strata
     values: tuple       # Holant with chains of length s = 0..n
     coefficients: tuple | None   # solved strata; None when lam == 0
-
-    @property
-    def projector_value(self) -> Scalar:
-        if self.coefficients is not None:
-            return demote(self.coefficients[0])
-        # lam == 0: every stratum with a lam factor dies for s >= 1
-        return demote(self.values[1] / self.mu ** self.occurrences)
+    projector_value: Scalar      # the all-mu stratum
 
 
 def stratify_holant_with_d(grid: SignatureGrid, f: SymSig, extra_lengths: int = 0,
-                           max_edges: int = 24) -> StratifiedSystem:
+                           max_edges: int = DEFAULT_EDGE_CAP) -> StratifiedSystem:
     """Evaluate the grid with every placeholder replaced by transfer
     chains of length s = 0..n(+extra) and solve the Vandermonde system
     over the strata. The extra lengths are not used for solving; they
@@ -196,17 +213,13 @@ def stratify_holant_with_d(grid: SignatureGrid, f: SymSig, extra_lengths: int = 
             g_s = substitute_placeholder_chain(g_s, vid, chain)
         values.append(holant(g_s, max_edges=max_edges))
 
-    lam, mu = jd.lam, jd.mu
-    nodes = tuple(lam**i * mu ** (n - i) for i in range(n + 1))
-    if scalar_is_zero(lam):
-        return StratifiedSystem(n, lam, mu, nodes, tuple(values), None)
-    from .linalg import vandermonde_solve
-
-    coeffs = vandermonde_solve(list(nodes), values[:n + 1])
-    return StratifiedSystem(n, lam, mu, nodes, tuple(values), tuple(coeffs))
+    # D keeps the mu-eigenvector: only the all-mu stratum survives
+    nodes, strata, value = _recover(values, jd.lam, jd.mu, n, 0, 1)
+    return StratifiedSystem(n, jd.lam, jd.mu, nodes, tuple(values), strata, value)
 
 
-def interpolate_holant_with_d(grid: SignatureGrid, f: SymSig, max_edges: int = 24) -> Scalar:
+def interpolate_holant_with_d(grid: SignatureGrid, f: SymSig,
+                              max_edges: int = DEFAULT_EDGE_CAP) -> Scalar:
     """Holant of a grid whose placeholders stand for the projector D,
     recovered purely from placeholder-free evaluations."""
     if not _placeholder_ids(grid):
@@ -216,52 +229,24 @@ def interpolate_holant_with_d(grid: SignatureGrid, f: SymSig, max_edges: int = 2
 
 
 def _row_eigenvector(m: Mat2, eigenvalue) -> tuple:
+    """A nonzero row vector v with v . m = eigenvalue * v. With distinct
+    eigenvalues m is not scalar, so one of the two candidates is nonzero."""
     (m00, m01), (m10, m11) = m.rows
     v = (m10, eigenvalue - m00)
-    if not (scalar_is_zero(v[0]) and scalar_is_zero(v[1])):
-        return v
-    v = (eigenvalue - m11, m01)
-    if not (scalar_is_zero(v[0]) and scalar_is_zero(v[1])):
-        return v
-    return (1, 0)  # fully scalar matrix cannot occur with distinct eigenvalues
-
-
-def _eigen_split(m: Mat2):
-    """(lam, mu, row eigenvector of lam, row eigenvector of mu)."""
-    (m00, m01), (m10, m11) = m.rows
-    gap = m00 - m11
-    disc = gap * gap + 4 * m01 * m10
-    if scalar_is_zero(disc) or scalar_sign(disc) < 0:
-        raise NotDiagonalizable("need two distinct real eigenvalues")
-    if not scalar_is_zero(m10):
-        jd = jordan(m)
-        e_lam, e_mu = jd.row_eigenvectors()
-        return jd.lam, jd.mu, e_lam, e_mu
-    from .exact import sqrt_exact
-
-    delta = sqrt_exact(disc if isinstance(disc, Fraction) else disc.to_fraction())
-    tr = m.trace()
-    lam = demote((tr - delta) / 2)
-    mu = demote((tr + delta) / 2)
-    return lam, mu, _row_eigenvector(m, lam), _row_eigenvector(m, mu)
-
-
-def _decompose_row(vec, e_lam, e_mu):
-    """alpha, beta with vec = alpha * e_lam + beta * e_mu."""
-    from .linalg import solve_linear
-
-    sol = solve_linear([[e_lam[0], e_mu[0]], [e_lam[1], e_mu[1]]], list(vec))
-    return sol[0], sol[1]
+    if scalar_is_zero(v[0]) and scalar_is_zero(v[1]):
+        return (eigenvalue - m11, m01)
+    return v
 
 
 def interpolate_unary(grid: SignatureGrid, u_vertex_ids, m: Mat2, seed: SymSig,
-                      max_edges: int = 24) -> Scalar:
+                      max_edges: int = DEFAULT_EDGE_CAP) -> Scalar:
     """Holant of a grid containing a target unary on the R side at the
     listed vertices, recovered from evaluations with seed . M^j there.
 
     The target unary is read off the grid itself; every listed vertex
-    must carry the same unary signature. Raises EigenvectorSeed when the
-    seed is proportional to a row eigenvector of m, and
+    must carry the same unary signature. Raises ZeroDelta unless m has
+    two distinct real eigenvalues, EigenvectorSeed when the seed is
+    proportional to a row eigenvector of m, and
     UnderdeterminedInterpolation when a zero eigenvalue erases the
     strata the target needs.
     """
@@ -278,11 +263,15 @@ def interpolate_unary(grid: SignatureGrid, u_vertex_ids, m: Mat2, seed: SymSig,
     if n == 0:
         return holant(grid, max_edges=max_edges)
 
-    lam, mu, e_lam, e_mu = _eigen_split(m)
-    alpha, beta = _decompose_row(tuple(seed.values), e_lam, e_mu)
+    _, lam, mu = eigenvalues(m)
+    if scalar_is_zero(mu):          # _recover takes a zero eigenvalue as lam
+        lam, mu = mu, lam
+    # coordinates over the row eigenvectors: seed = alpha e_lam + beta e_mu, target likewise
+    eigenbasis = Mat2((_row_eigenvector(m, lam), _row_eigenvector(m, mu)))
+    (alpha, beta), (gamma, delta_c) = (Mat2((seed.values, target.values))
+                                       * eigenbasis.inverse()).rows
     if scalar_is_zero(alpha) or scalar_is_zero(beta):
         raise EigenvectorSeed("seed is proportional to a row eigenvector")
-    gamma, delta_c = _decompose_row(tuple(target.values), e_lam, e_mu)
 
     def with_unary(vec) -> SignatureGrid:
         g = grid.copy()
@@ -294,54 +283,25 @@ def interpolate_unary(grid: SignatureGrid, u_vertex_ids, m: Mat2, seed: SymSig,
     seed_row = Mat2((seed.values, (0, 0)))   # seed . M^j is row 0 of this times M^j
     values = [holant(with_unary((seed_row * matrix_power(m, j))[0]), max_edges=max_edges)
               for j in range(n + 1)]
-
-    # unknowns w_k = alpha^k beta^(n-k) h_k over nodes lam^k mu^(n-k)
-    if scalar_is_zero(mu):
-        lam, mu = mu, lam
-        alpha, beta = beta, alpha
-        gamma, delta_c = delta_c, gamma
-    if scalar_is_zero(lam):
-        if scalar_is_zero(mu):
-            raise NotDiagonalizable("both eigenvalues vanish")
-        w0 = values[1] / mu**n
-        if scalar_is_zero(gamma):
-            return demote((delta_c / beta) ** n * w0)
-        if n == 1:
-            w1 = values[0] - w0
-            return demote((delta_c / beta) * w0 + (gamma / alpha) * w1)
-        raise UnderdeterminedInterpolation(
-            "zero eigenvalue: only the all-mu stratum is recoverable")
-    from .linalg import vandermonde_solve
-
-    nodes = [lam**k * mu ** (n - k) for k in range(n + 1)]
-    w = vandermonde_solve(nodes, values)
-    total: Scalar = Fraction(0)
-    for k in range(n + 1):
-        total = total + (gamma / alpha) ** k * (delta_c / beta) ** (n - k) * w[k]
-    return demote(total)
+    # stratum k holds alpha^k beta^(n-k) h_k; the target weighs h_k by gamma^k delta_c^(n-k)
+    return _recover(values, lam, mu, n, gamma / alpha, delta_c / beta)[2]
 
 
 # -- split reduction ---------------------------------------------------------
 
+def _entries(g_sig) -> tuple:
+    """g's values over bit patterns, for a SymSig or a Tensor alike."""
+    return (sym_to_tensor(g_sig) if isinstance(g_sig, SymSig) else g_sig).entries
+
+
 def _is_point_mass_on_ones(g_sig) -> bool:
     """Is g a multiple of [0,1]^(x)n, i.e. supported on the all-ones input?"""
-    if isinstance(g_sig, SymSig):
-        return all(scalar_is_zero(v) for v in g_sig.values[:-1])
-    return all(scalar_is_zero(v) for p, v in enumerate(g_sig.entries)
-               if p != (1 << g_sig.arity) - 1)
+    return all(scalar_is_zero(v) for v in _entries(g_sig)[:-1])
 
 
 def unary_closure_value(g_sig, y) -> Scalar:
     """Value of g with every port closed by [1, y]."""
-    if isinstance(g_sig, SymSig):
-        total: Scalar = Fraction(0)
-        for w, v in enumerate(g_sig.values):
-            total = total + comb(g_sig.arity, w) * v * y**w
-        return total
-    total = Fraction(0)
-    for p, v in enumerate(g_sig.entries):
-        total = total + v * y ** p.bit_count()
-    return total
+    return sum((v * y ** p.bit_count() for p, v in enumerate(_entries(g_sig))), Fraction(0))
 
 
 @dataclass(frozen=True)

@@ -49,9 +49,6 @@ class SymSig:
     def value_at(self, pattern: int) -> Scalar:
         return self.values[pattern.bit_count()]
 
-    def by_weight(self, w: int) -> Scalar:
-        return self.values[w]
-
     def is_nonnegative(self) -> bool:
         return all(scalar_sign(v) >= 0 for v in self.values)
 
@@ -89,15 +86,8 @@ class Tensor:
         return self.entries[pattern]
 
     def is_symmetric(self) -> bool:
-        by_weight: dict[int, Scalar] = {}
-        for p, v in enumerate(self.entries):
-            w = p.bit_count()
-            if w in by_weight:
-                if by_weight[w] != v:
-                    return False
-            else:
-                by_weight[w] = v
-        return True
+        # every entry equals the one of its weight w at pattern 2^w - 1
+        return all(v == self.entries[(1 << p.bit_count()) - 1] for p, v in enumerate(self.entries))
 
     def to_symmetric(self) -> SymSig:
         if not self.is_symmetric():
@@ -152,6 +142,19 @@ def is_degenerate(f: SymSig) -> bool:
     if f.arity != 3:
         raise ArityMismatch("degeneracy test expects a ternary signature")
     return all(scalar_is_zero(m) for m in _hankel_minors(f))
+
+
+def is_generalized_equality(s: SymSig) -> bool:
+    """[a,0,...,0,b] of arity >= 1: every port carries one value."""
+    return s.arity >= 1 and all(scalar_is_zero(x) for x in s.values[1:-1])
+
+
+def affine_scale(f: SymSig):
+    """x0 if ternary f = x0 [1,0,1,0], x1 if f = x1 [0,1,0,1], else None."""
+    x0, x1, x2, x3 = f.values
+    if scalar_is_zero(x1) and scalar_is_zero(x3) and x0 == x2:
+        return x0
+    return x1 if scalar_is_zero(x0) and scalar_is_zero(x2) and x1 == x3 else None
 
 
 @dataclass(frozen=True)
@@ -276,17 +279,11 @@ class JordanData:
     def reconstruct(self) -> Mat2:
         return self.p_matrix() * Mat2(((self.lam, 0), (0, self.mu))) * self.p_inverse()
 
-    def row_eigenvectors(self):
-        """Row eigenvectors for (lam, mu): proportional to [1, -y], [1, x]."""
-        return (1, -self.y), (1, self.x)
 
-
-def jordan(m: Mat2) -> JordanData:
-    """Diagonalize a 2x2 matrix with distinct real eigenvalues in a
-    quadratic extension; verifies P diag(lam, mu) P^-1 == m exactly."""
+def eigenvalues(m: Mat2):
+    """(delta, lam, mu) with lam < mu the two distinct real eigenvalues
+    of m and delta = mu - lam, exact in a quadratic extension; else ZeroDelta."""
     (m00, m01), (m10, m11) = m.rows
-    if scalar_is_zero(m10):
-        raise ZeroA("lower-left entry is zero; eigenvector parameters x, y undefined")
     gap = m00 - m11
     disc = gap * gap + 4 * m01 * m10
     if scalar_is_zero(disc):
@@ -295,11 +292,20 @@ def jordan(m: Mat2) -> JordanData:
         raise ZeroDelta("eigenvalues are not real: negative discriminant")
     delta = sqrt_exact(frac(disc))
     tr = m.trace()
-    lam = (tr - delta) / 2
-    mu = (tr + delta) / 2
+    return demote(delta), demote((tr - delta) / 2), demote((tr + delta) / 2)
+
+
+def jordan(m: Mat2) -> JordanData:
+    """Diagonalize a 2x2 matrix with distinct real eigenvalues in a
+    quadratic extension; verifies P diag(lam, mu) P^-1 == m exactly."""
+    (m00, _), (m10, m11) = m.rows
+    if scalar_is_zero(m10):
+        raise ZeroA("lower-left entry is zero; eigenvector parameters x, y undefined")
+    delta, lam, mu = eigenvalues(m)
+    gap = m00 - m11
     x = (delta - gap) / (2 * m10)
     y = (delta + gap) / (2 * m10)
-    data = JordanData(demote(delta), demote(lam), demote(mu), demote(x), demote(y))
+    data = JordanData(delta, lam, mu, demote(x), demote(y))
     if data.reconstruct() != m:
         raise AssertionError("eigen-decomposition failed to reconstruct the matrix")
     return data

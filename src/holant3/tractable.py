@@ -23,8 +23,9 @@ from fractions import Fraction
 from .errors import HardnessRefusal, NotDegenerate, WrongCase
 from .exact import scalar_is_zero
 from .dichotomy import FP, TernaryClassification, classify_ternary
-from .grid import SignatureGrid, connected_components, holant
-from .signatures import EQ3, SymSig, decompose_degenerate, is_degenerate
+from .grid import DEFAULT_EDGE_CAP, SignatureGrid, connected_components, holant
+from .signatures import (EQ3, SymSig, affine_scale, decompose_degenerate, is_degenerate,
+                         is_generalized_equality)
 
 
 @dataclass(frozen=True)
@@ -66,7 +67,7 @@ def solve_degenerate(inst: TractableInstance) -> Fraction:
 
 def solve_gen_equality(inst: TractableInstance) -> Fraction:
     f = inst.f
-    if not (scalar_is_zero(f[1]) and scalar_is_zero(f[2])):
+    if not is_generalized_equality(f):
         raise WrongCase(f"{f} is not a generalized equality")
     total = Fraction(1)
     left = set(inst.left_ids())
@@ -89,11 +90,9 @@ def solve_affine(inst: TractableInstance) -> Fraction:
     elimination with top-bit pivots.
     """
     f = inst.f
-    even_form = scalar_is_zero(f[1]) and scalar_is_zero(f[3]) and f[0] == f[2]
-    odd_form = scalar_is_zero(f[0]) and scalar_is_zero(f[2]) and f[1] == f[3]
-    if not (even_form or odd_form):
+    scale = affine_scale(f)
+    if scale is None:
         raise WrongCase(f"{f} is not a parity signature")
-    scale = f[0] if even_form else f[1]
     if scalar_is_zero(scale):
         return Fraction(0) if inst.grid.vertices else Fraction(1)
 
@@ -119,7 +118,8 @@ def solve_affine(inst: TractableInstance) -> Fraction:
 _SOLVERS = {1: solve_degenerate, 2: solve_gen_equality, 3: solve_affine}
 
 
-def solve(inst: TractableInstance, allow_brute_force: bool = False, max_edges: int = 24):
+def solve(inst: TractableInstance, allow_brute_force: bool = False,
+          max_edges: int = DEFAULT_EDGE_CAP):
     """Dispatch on the classification; raises HardnessRefusal on a
     #P-hard signature unless allow_brute_force opts into the capped
     exact evaluator (exponential in its elimination width). Returns

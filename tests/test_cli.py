@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -251,6 +252,48 @@ def test_interp_demo(capsys):
     assert "match: yes" in out
 
 
+QX = {"radicand": "33"}
+INTERP_DEMO_JSON = [
+    # QuadExt eigenvalues, three strata
+    (["[1,2,3,4]", "2"], {
+        "direct_substitution": {"base": "491/33", "coeff": "85/33", **QX},
+        "eigenvalues": "lam={'base': '5/2', 'coeff': '-1/2', 'radicand': '33'} "
+                       "mu={'base': '5/2', 'coeff': '1/2', 'radicand': '33'}",
+        "holant_chain_0": "29", "holant_chain_1": "858", "holant_chain_2": "24716",
+        "interpolated": {"base": "491/33", "coeff": "85/33", **QX}, "match": "yes",
+        "nodes": [{"base": "29/2", "coeff": "5/2", **QX}, "-2",
+                  {"base": "29/2", "coeff": "-5/2", **QX}],
+        "occurrences": 2,
+        "projector_params": "x={'base': '3/4', 'coeff': '1/4', 'radicand': '33'} "
+                            "y={'base': '-3/4', 'coeff': '1/4', 'radicand': '33'}",
+        "signature": "[1,2,3,4]",
+        "strata_coefficients": [{"base": "491/33", "coeff": "85/33", **QX}, "-25/33",
+                                {"base": "491/33", "coeff": "-85/33", **QX}]}),
+    # lam = 0: no strata are solved, only the all-mu one is read off
+    (["[1,1,1,1]", "2"], {
+        "direct_substitution": "4", "eigenvalues": "lam=0 mu=2",
+        "holant_chain_0": "4", "holant_chain_1": "16", "holant_chain_2": "64",
+        "interpolated": "4", "match": "yes", "nodes": ["4", "0", "0"], "occurrences": 2,
+        "projector_params": "x=1 y=1", "signature": "[1,1,1,1]",
+        "strata_coefficients": "degenerate (zero eigenvalue): all-mu stratum only"}),
+    # lam = -1: nodes of both signs
+    (["[1,2,2,1]", "3"], {
+        "direct_substitution": "49/4", "eigenvalues": "lam=-1 mu=3",
+        "holant_chain_0": "10", "holant_chain_1": "362", "holant_chain_2": "8674",
+        "holant_chain_3": "243506", "interpolated": "49/4", "match": "yes",
+        "nodes": ["27", "-9", "3", "-1"], "occurrences": 3, "projector_params": "x=1 y=1",
+        "signature": "[1,2,2,1]", "strata_coefficients": ["49/4", "-13/4", "3/4", "1/4"]}),
+]
+
+
+@pytest.mark.parametrize("args, report", INTERP_DEMO_JSON)
+def test_interp_demo_json_is_pinned(args, report, capsys):
+    signature, occurrences = args
+    assert main(["interp-demo", "--signature", signature, "--occurrences", occurrences,
+                 "--format", "json", "--max-edges", "60"]) == 0
+    assert capsys.readouterr().out == json.dumps(report, sort_keys=True) + "\n"
+
+
 def test_verify_identities(capsys):
     assert main(["verify-identities", "--samples", "60"]) == 0
     out = capsys.readouterr().out
@@ -291,6 +334,22 @@ def test_solve_value_past_int_str_digit_limit(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["oracle"] == "match"
     assert len(out["value"]) == 6001 and parse_scalar(out["value"]) == 4 * x**3
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int/str digit limit")
+def test_main_leaves_the_digit_limit_as_it_found_it(tmp_path, capsys):
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        grid = bipartite_grid(SymSig([0, 10**2000, 0, 10**2000]),
+                              [(i, j) for i in range(3) for j in range(3)])
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps(format_grid(grid)))
+        assert main(["solve", "--input", str(path)]) == 0
+        assert len(capsys.readouterr().out) > 4300
+        assert sys.get_int_max_str_digits() == 4300
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 ORACLE_COMMANDS = {"solve", "pm-count", "solve-planar-cover", "x3c-count"}

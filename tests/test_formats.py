@@ -1,4 +1,5 @@
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -52,6 +53,19 @@ def test_rational_accepts_ints_and_p_over_q(text, value):
 def test_rational_refuses_decimals_exponents_and_bools(text):
     with pytest.raises(ParseError, match="bad rational"):
         parse_rational(text)
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int/str digit limit")
+def test_values_past_the_digit_limit_round_trip_and_leave_it_in_place():
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        for q in (Fraction(10**5000), Fraction(-(10**4999) - 7, 3**9000)):
+            assert parse_scalar(format_scalar(q)) == q
+        assert parse_rational("1" * 5000) == (10**5000 - 1) // 9
+        assert sys.get_int_max_str_digits() == 4300
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 @pytest.mark.parametrize("parse", [parse_grid, parse_planar_graph, parse_embedded_grid,

@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from holant3.errors import CountMismatch, DegenerateG, EigenvectorSeed, ZeroA
+from holant3.errors import (CountMismatch, DegenerateG, EigenvectorSeed,
+                             UnderdeterminedInterpolation, ZeroA, ZeroDelta)
 from holant3.exact import QuadExt
 from holant3.grid import SignatureGrid, bipartite_grid, holant
 from holant3.interp import (
@@ -190,6 +191,44 @@ def test_interpolate_unary_zero_eigenvalue_single_slot():
     g = _unary_instance(f, SymSig([1, 0]), 1)
     got = interpolate_unary(g, [("u", 0)], straddled_from_f(f), SymSig([2, 1]))
     assert got == holant(g)
+
+
+def test_interpolate_unary_needs_two_distinct_eigenvalues():
+    f = SymSig([1, 2, 3, 4])
+    g = _unary_instance(f, SymSig([1, 0]), 1)
+    with pytest.raises(ZeroDelta):
+        interpolate_unary(g, [("u", 0)], Mat2(((1, 1), (0, 1))), SymSig([2, 1]))
+
+
+def test_interpolate_unary_zero_eigenvalue_off_the_mu_axis_is_underdetermined():
+    f = SymSig([1, 1, 1, 1])  # lam = 0; [3,1] has a component along the lam eigenvector
+    g = _unary_instance(f, SymSig([3, 1]), 2)
+    with pytest.raises(UnderdeterminedInterpolation):
+        interpolate_unary(g, [("u", 0), ("u", 1)], straddled_from_f(f), SymSig([2, 1]))
+
+
+def test_interpolate_unary_zero_mu_swaps_the_eigenvalues():
+    m = Mat2(((-1, 0), (1, 0)))   # eigenvalues -1 and 0: the zero one is mu
+    for f, target in (([1, 2, 3, 4], [3, 5]), ([2, 1, 0, 3], [1, 0])):
+        g = _unary_instance(SymSig(f), SymSig(target), 1)
+        assert interpolate_unary(g, [("u", 0)], m, SymSig([2, 1])) == holant(g)
+
+
+def test_recover_weighs_the_strata():
+    from holant3.interp import _recover
+
+    strata = [Fraction(3), Fraction(-1, 2), Fraction(5)]
+    lam, mu = Fraction(2), Fraction(-3)
+    nodes = [lam**k * mu ** (2 - k) for k in range(3)]
+    values = [sum(c * t**s for c, t in zip(strata, nodes)) for s in range(3)]
+    got_nodes, got_strata, value = _recover(values, lam, mu, 2, Fraction(7), Fraction(1, 3))
+    assert list(got_nodes) == nodes and list(got_strata) == strata
+    assert value == sum(7**k * Fraction(1, 3) ** (2 - k) * c for k, c in enumerate(strata))
+    # lam = 0: only the all-mu stratum is read off, from values[1]
+    assert _recover([9, 8], 0, 2, 1, 0, 5)[1:] == (None, 5 * 4)
+    assert _recover([9, 8], 0, 2, 1, 1, 5)[1:] == (None, 5 * 4 + (9 - 4))
+    with pytest.raises(UnderdeterminedInterpolation):
+        _recover([9, 8, 7], 0, 2, 2, 1, 5)
 
 
 # -- splitting ---------------------------------------------------------------

@@ -11,9 +11,13 @@ from holant3.signatures import (
     EQ3,
     Mat2,
     SymSig,
+    Tensor,
+    affine_scale,
     decompose_degenerate,
+    eigenvalues,
     hadamard_transform,
     is_degenerate,
+    is_generalized_equality,
     jordan,
     matrix_power,
     normalize,
@@ -174,6 +178,35 @@ def test_jordan_errors():
         jordan(straddled_from_f(EQ3))           # a = 0
     with pytest.raises(ZeroDelta):
         jordan(Mat2(((1, 0), (2, 1))))          # c = 1, b = 0: discriminant 0
+
+
+def test_eigenvalues_split_or_raise_zero_delta():
+    assert eigenvalues(Mat2(((1, 1), (1, 1)))) == (2, 0, 2)
+    assert eigenvalues(Mat2(((-1, 0), (1, 0)))) == (1, -1, 0)     # lower-left nonzero, mu = 0
+    assert eigenvalues(Mat2(((3, 5), (0, 1)))) == (2, 1, 3)       # triangular: no ZeroA here
+    root33 = QuadExt(0, 1, 33)
+    assert eigenvalues(Mat2(((1, 3), (2, 4)))) == (root33, (5 - root33) / 2, (5 + root33) / 2)
+    for m in (Mat2(((1, 1), (0, 1))), Mat2(((2, 0), (0, 2))), Mat2(((0, -1), (1, 0)))):
+        with pytest.raises(ZeroDelta):
+            eigenvalues(m)
+
+
+def test_tractable_shapes():
+    assert is_generalized_equality(EQ3) and is_generalized_equality(SymSig([2, 0, 0, 0, 3]))
+    assert is_generalized_equality(SymSig([1, 5]))
+    assert not is_generalized_equality(SymSig([1, 0, 1, 0]))
+    assert not is_generalized_equality(SymSig([4]))
+    assert affine_scale(SymSig([3, 0, 3, 0])) == 3 and affine_scale(SymSig([0, 2, 0, 2])) == 2
+    assert affine_scale(SymSig([0, 0, 0, 0])) == 0
+    for f in ([1, 0, 2, 0], [0, 1, 0, 0], [1, 1, 1, 1], [1, 0, 0, 1]):
+        assert affine_scale(SymSig(f)) is None
+
+
+def test_tensor_symmetry_reads_each_weight_class():
+    assert sym_to_tensor(SymSig([1, 2, 3, 4])).is_symmetric()
+    assert not Tensor(2, (1, 2, 3, 4)).is_symmetric()
+    assert not Tensor(3, (1, 2, 2, 3, 2, 9, 3, 4)).is_symmetric()   # patterns 3 and 5 differ
+    assert Tensor(0, (7,)).is_symmetric()
 
 
 def test_jordan_invariants_random():
