@@ -4,14 +4,15 @@ classify_ternary decides, for a nonnegative ternary signature paired
 with ternary equality, whether the partition function is polynomial-time
 computable (degenerate / generalized equality / affine) or #P-hard.
 classify_binary23 is the matching criterion for a binary signature
-paired with ternary equality. The verify_* functions mechanically check
-the polynomial identities that drive the hardness case analysis.
+paired with ternary equality. verify_case_identities proves the
+polynomial identities that drive the hardness case analysis, exactly in
+Q[a, b, c]; verify_factorization_identity checks the factorization at
+one point in Q(sqrt(d)) and is the pointwise reference for the proof.
 """
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ArityMismatch, NegativeEntry, ZeroDelta
@@ -93,8 +94,8 @@ def classify_binary23(a, b) -> BinaryClassification:
     equality: P iff X=1, or X=Z=0, or X=-1 with Z in {0,-1}, where
     X = ab and Z = ((a^3+b^3)/2)^2.
 
-    Over the rationals Z >= 0, so the Z=-1 branch is present but
-    unreachable; it matters only over wider fields.
+    Z is a rational square, so the Z=-1 branch cannot fire here and is
+    not checked; it matters only over wider fields.
     """
     a, b = frac(a), frac(b)
     x = a * b
@@ -105,8 +106,6 @@ def classify_binary23(a, b) -> BinaryClassification:
         case = 2
     elif x == -1 and z == 0:
         case = 3
-    elif x == -1 and z == -1:
-        case = 4  # impossible over the rationals; kept for the record
     else:
         case = None
     return BinaryClassification("P" if case else HARD, case, x, z)
@@ -133,65 +132,84 @@ def verify_factorization_identity(a, b, c):
     return lhs, rhs
 
 
-@dataclass
-class IdentityReport:
-    total: int = 0
-    passed: int = 0
-    failures: list = field(default_factory=list)
+class _Poly:
+    """A polynomial in Q[a, b, c]: a dict from exponent triple to nonzero
+    Fraction coefficient, so == decides equality of polynomials."""
 
-    def record(self, ok: bool, detail=None):
-        self.total += 1
-        if ok:
-            self.passed += 1
-        elif len(self.failures) < 10:
-            self.failures.append(detail)
+    def __init__(self, terms):
+        self.terms = {e: q for e, q in terms.items() if q}
 
-    @property
-    def all_passed(self) -> bool:
-        return self.passed == self.total
+    @staticmethod
+    def _lift(x) -> _Poly:
+        return x if isinstance(x, _Poly) else _Poly({(0, 0, 0): Fraction(x)})
+
+    def __add__(self, other):
+        terms = dict(self.terms)
+        for e, q in _Poly._lift(other).terms.items():
+            terms[e] = terms.get(e, 0) + q
+        return _Poly(terms)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return _Poly({e: -q for e, q in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + -_Poly._lift(other)
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        other, terms = _Poly._lift(other), {}
+        for e, p in self.terms.items():
+            for f, q in other.terms.items():
+                g = (e[0] + f[0], e[1] + f[1], e[2] + f[2])
+                terms[g] = terms.get(g, 0) + p * q
+        return _Poly(terms)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, n: int):
+        return _Poly._lift(1) if n == 0 else self * self ** (n - 1)
+
+    def __eq__(self, other):
+        return self.terms == _Poly._lift(other).terms
 
 
-def _random_positive(rng: random.Random) -> Fraction:
-    return Fraction(rng.randint(1, 12), rng.randint(1, 12))
+def verify_case_identities() -> dict[str, bool]:
+    """Prove the polynomial identities of the case analysis in Q[a, b, c];
+    True means the identity holds as an equality of polynomials.
 
+    factorization: lhs => rhs of verify_factorization_identity. y is a
+        root of aY^2 - (1-c)Y - b and x y = b/a (Vieta), so lhs reads
+        y(a^2-b) = b^2-ac. If a^2 != b, (a^2-b)^2 times the root equation
+        at y = (b^2-ac)/(a^2-b) is -(ab-c)(a^3-b^3-ab(1-c)). If a^2 = b,
+        lhs gives c = a^3, where a^3-b^3-ab(1-c) vanishes.
+    middle-branch: under a^3 - b^3 = ab(1-c), a^4 times the difference
+        of the two sides of the degeneracy condition
+        (1+b^2/a)(b+b^2c/a^2) = (a+b^3/a^2)^2 of the connected binary
+        is -a(a^2-b)(a^3+ab+2b^3).
+    product-branch: under c = ab, (1+ab)(b+bc) - (a+b^2)^2 =
+        (a^2-b)(b^3-1).
+    palindrome-branch: 2+2a^3-2a-2a^2 = 2(a-1)^2(a+1).
 
-def verify_case_identities(samples: int = 200, seed: int = 0) -> dict[str, IdentityReport]:
-    """Randomized equivalence suites for the case-analysis algebra.
-
-    middle-branch: under a^3 - b^3 = ab(1-c), the degeneracy condition
-        of the connected binary a(a+b^2)(a^2 b + b^2 c) = (a^3+b^3)^2
-        holds iff (a^2-b)(a^3+ab+2b^3) = 0.
-    product-branch: under c = ab, (1+ab)(b+bc) = (a+b^2)^2 iff
-        (a^2-b)(b^3-1) = 0.
-    palindrome-branch: 2+2a^3 = 2a+2a^2 iff (a-1)^2 (a+1) = 0.
+    The factors a^4, a and 2 are positive when a > 0, so each branch
+    condition holds iff the remaining product vanishes.
     """
-    rng = random.Random(seed)
-    reports = {
-        "middle-branch": IdentityReport(),
-        "product-branch": IdentityReport(),
-        "palindrome-branch": IdentityReport(),
+    a, b, c = (_Poly({e: Fraction(1)}) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+
+    def rhs_factor(a, b, c):
+        return a**3 - b**3 - a * b * (1 - c)
+
+    s, t = b * b - a * c, a * a - b
+    abc = a * b - a**3 + b**3  # ab c, with c fixed by the middle branch
+    return {
+        "factorization": (a * s**2 - (1 - c) * s * t - b * t**2
+                          == -(a * b - c) * rhs_factor(a, b, c)
+                          and rhs_factor(a, a * a, a**3) == 0),
+        "middle-branch": ((a + b * b) * (a**3 * b + b * abc) - (a**3 + b**3) ** 2
+                          == -a * t * (a**3 + a * b + 2 * b**3)),
+        "product-branch": (1 + a * b) * (b + b * a * b) - (a + b * b) ** 2 == t * (b**3 - 1),
+        "palindrome-branch": 2 + 2 * a**3 - 2 * a - 2 * a * a == 2 * (a - 1) ** 2 * (a + 1),
     }
-
-    for _ in range(samples):
-        a, b = _random_positive(rng), _random_positive(rng)
-        c = 1 - (a**3 - b**3) / (a * b)
-        lhs = (1 + b * b / a) * (b + b * b * c / (a * a)) == (a + b**3 / (a * a)) ** 2
-        rhs = (a * a - b) * (a**3 + a * b + 2 * b**3) == 0
-        reports["middle-branch"].record(lhs == rhs, (a, b, c))
-
-    for _ in range(samples):
-        a, b = _random_positive(rng), _random_positive(rng)
-        if rng.random() < 0.25:
-            b = a * a  # hit the degenerate branch too
-        c = a * b
-        lhs = (1 + a * b) * (b + b * c) == (a + b * b) ** 2
-        rhs = (a * a - b) * (b**3 - 1) == 0
-        reports["product-branch"].record(lhs == rhs, (a, b))
-
-    for _ in range(samples):
-        a = _random_positive(rng) if rng.random() < 0.8 else Fraction(1)
-        lhs = 2 + 2 * a**3 == 2 * a + 2 * a * a
-        rhs = (a - 1) ** 2 * (a + 1) == 0
-        reports["palindrome-branch"].record(lhs == rhs, (a,))
-
-    return reports

@@ -45,7 +45,7 @@ class ZeroA(HolantError):
 
 
 class ZeroDelta(HolantError):
-    """The eigenvalue discriminant vanishes (c = 1 and ab = 0)."""
+    """The straddled matrix has no two distinct real eigenvalues."""
 
 
 # --- grids and gadgets ---

@@ -294,17 +294,35 @@ def test_interp_demo_json_is_pinned(args, report, capsys):
     assert capsys.readouterr().out == json.dumps(report, sort_keys=True) + "\n"
 
 
+IDENTITIES_PROVED = {"factorization": "proved", "middle-branch": "proved",
+                     "product-branch": "proved", "palindrome-branch": "proved"}
+
+
 def test_verify_identities(capsys):
-    assert main(["verify-identities", "--samples", "60"]) == 0
-    out = capsys.readouterr().out
-    assert "all_passed: yes" in out and "60/60" in out
+    assert main(["verify-identities", "--format", "json"]) == 0
+    report = dict(IDENTITIES_PROVED, all_passed="yes")
+    assert capsys.readouterr().out == json.dumps(report, sort_keys=True) + "\n"
 
 
-@pytest.mark.parametrize("samples", ["0", "-5"])
-def test_verify_identities_rejects_nonpositive_samples(samples):
-    code, out, err = run_cli(["verify-identities", "--samples", samples])
+def test_verify_identities_defaults_prove_every_identity():
+    expected = "".join(f"{name}: {value}\n" for name, value in IDENTITIES_PROVED.items())
+    expected += "all_passed: yes\n"
+    assert run_cli(["verify-identities"]) == (0, expected, "")
+
+
+def test_verify_identities_reports_a_failed_identity(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "verify_case_identities",
+                        lambda: {"product-branch": False, "palindrome-branch": True})
+    assert main(["verify-identities"]) == 1
+    assert capsys.readouterr().out == ("product-branch: NO\npalindrome-branch: proved\n"
+                                       "all_passed: NO\n")
+
+
+@pytest.mark.parametrize("flag", ["--samples", "--seed"])
+def test_verify_identities_takes_no_sampling_flags(flag):
+    code, out, err = run_cli(["verify-identities", flag, "60"])
     assert code == 2 and out == ""
-    assert "input error" in err and "Traceback" not in err
+    assert f"unrecognized arguments: {flag} 60" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("argv", [

@@ -6,13 +6,14 @@ import pytest
 from holant3.dichotomy import (
     FP,
     HARD,
+    _Poly,
     classify_binary23,
     classify_ternary,
     verify_case_identities,
     verify_factorization_identity,
 )
 from holant3.errors import NegativeEntry
-from holant3.signatures import SymSig, reverse
+from holant3.signatures import SymSig, jordan, reverse, straddled_from_f
 from conftest import rand_nonneg_sig, rand_positive
 
 
@@ -59,7 +60,7 @@ def test_binary23_negative_branch_reachable():
     # X = -1, Z = 0 is representable over the rationals
     cls = classify_binary23(1, -1)
     assert cls.verdict == "P" and cls.matched_case == 3
-    # Z = -1 is impossible over the rationals: the case-4 branch never fires
+    # Z = -1 is impossible over the rationals: Z is a square
     rng = random.Random(31)
     for _ in range(200):
         a = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
@@ -106,10 +107,33 @@ def test_factorization_converse_fails_on_thin_set():
 
 
 def test_case_identity_suites_pass():
-    reports = verify_case_identities(samples=200, seed=0)
-    assert set(reports) == {"middle-branch", "product-branch", "palindrome-branch"}
-    for rep in reports.values():
-        assert rep.all_passed and rep.total == 200
+    assert verify_case_identities() == {"factorization": True, "middle-branch": True,
+                                        "product-branch": True, "palindrome-branch": True}
+
+
+def test_polynomial_check_rejects_a_perturbed_identity():
+    a, b = _Poly({(1, 0, 0): 1}), _Poly({(0, 1, 0): 1})
+    lhs = (1 + a * b) * (b + b * a * b) - (a + b * b) ** 2
+    assert lhs == (a * a - b) * (b**3 - 1)
+    assert not lhs == (a * a - b) * (b**3 + 1)
+    assert not lhs == (a * a - b) * (b**3 - 1) + 1
+
+
+def test_factorization_lhs_is_the_linear_equation_in_y():
+    """The step the proof takes from verify_factorization_identity's lhs:
+    with y the jordan parameter, lhs iff y (a^2 - b) = b^2 - ac."""
+    rng = random.Random(34)
+    triples = [(1, 1, 1), (2, 4, 8), (Fraction(1, 2), Fraction(1, 4), Fraction(1, 8))]
+    for _ in range(300):
+        a, b, c = rand_positive(rng), rand_positive(rng), rand_positive(rng)
+        triples += [(a, b, c), (a, a * a, c), (a, b, 1 - (a**3 - b**3) / (a * b))]
+    hits = 0
+    for a, b, c in triples:
+        lhs, _ = verify_factorization_identity(a, b, c)
+        y = jordan(straddled_from_f(SymSig([1, a, b, c]))).y
+        assert lhs == (y * (a * a - b) == b * b - a * c), (a, b, c)
+        hits += lhs
+    assert hits >= 3
 
 
 def test_exact_one_with_middle_weight_reduction_chain():
