@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ArityMismatch, NegativeEntry, ZeroDelta
-from .exact import frac, scalar_is_zero
+from .exact import frac
 from .signatures import (SymSig, affine_scale, is_degenerate, is_generalized_equality, jordan,
                          normalize, straddled_from_f)
 
@@ -53,19 +53,19 @@ def _hardness_case(f: SymSig) -> str:
     """Replay the case split on the normalized form [1,a,b,c] (or the
     all-ends-zero branch) to name the hard family the input falls in."""
     x0, x1, x2, x3 = f.values
-    if scalar_is_zero(x0) and scalar_is_zero(x3):
-        if scalar_is_zero(x1) or scalar_is_zero(x2):
+    if not x0 and not x3:
+        if not x1 or not x2:
             return "exact-one family [0,1,0,0]"
         return "family [0,1,b,0], b > 0"
     form, _, _ = normalize(f)
     a, b, c = form[1], form[2], form[3]
-    if not scalar_is_zero(a) and not scalar_is_zero(b):
+    if a and b:
         return "family [1,a,b,c], ab > 0, non-degenerate"
-    if not scalar_is_zero(a):  # b == 0
+    if a:  # b == 0
         return "family [1,a,0,c], a > 0"
     if c == 1:
         return "family [1,0,b,1], b > 0"
-    if scalar_is_zero(c):
+    if not c:
         return "family [1,0,b,0], b not in {0,1}"
     return "family [1,0,b,c], b > 0, c not in {0,1}"
 
@@ -128,7 +128,7 @@ def verify_factorization_identity(a, b, c):
     jd = jordan(straddled_from_f(SymSig([1, a, b, c])))
     x, y = jd.x, jd.y
     lhs = (y * a + c) == x * (y * y + y * b)
-    rhs = scalar_is_zero((a**3 - b**3 - a * b * (1 - c)) * (a * b - c))
+    rhs = not ((a**3 - b**3 - a * b * (1 - c)) * (a * b - c))
     return lhs, rhs
 
 

@@ -1,14 +1,18 @@
 """Exact scalar arithmetic: rationals and quadratic extensions Q(sqrt(d)).
 
-Rationals are stdlib fractions.Fraction (already canonical: gcd = 1,
-positive denominator). QuadExt represents base + coeff*sqrt(rad) for a
-fixed nonnegative rational radicand. One computation works over one
-radicand; mixing distinct irrational radicands raises MixedRadicands
-instead of silently extending the field.
+A rational value is always an int or a stdlib fractions.Fraction
+(canonical: gcd = 1, positive denominator). A QuadExt is always
+irrational: it holds base + coeff*sqrt(rad) with coeff != 0 and a
+positive radicand that is not the square of a rational. Building one
+whose value is rational, and every operation whose irrational part
+cancels, returns the Fraction instead, so no caller has to convert a
+result back or test a QuadExt for zero: `not x`, `x < 0` and `x == y`
+mean what they say on every scalar. One computation works over one
+radicand; mixing distinct radicands raises MixedRadicands instead of
+silently extending the field.
 
 Nothing in this module ever rounds: signs are decided by comparing
-base^2 against coeff^2 * rad, and perfect-square radicands collapse to
-rationals on construction.
+base^2 against coeff^2 * rad.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ def frac(value, den=None) -> Fraction:
     if isinstance(value, Fraction):
         return value
     if isinstance(value, QuadExt):
-        return value.to_fraction()
+        raise NotRational(f"{value} has an irrational part")
     if isinstance(value, float):
         raise TypeError("floats are not accepted in exact arithmetic")
     return Fraction(value)
@@ -41,58 +45,52 @@ def frac(value, den=None) -> Fraction:
 def sqrt_exact(d) -> "Fraction | QuadExt":
     """Exact nonnegative square root: Fraction when d is a perfect
     square of a rational, otherwise the QuadExt sqrt(d)."""
-    d = frac(d)
-    if d < 0:
-        raise NegativeRadicand(f"sqrt of negative rational {d}")
-    root = _perfect_sqrt(d)
-    if root is not None:
-        return root
     return QuadExt(ZERO, ONE, d)
 
 
-def _perfect_sqrt(d: Fraction) -> Fraction | None:
-    if d < 0:
-        return None
-    rn = isqrt(d.numerator)
-    rd = isqrt(d.denominator)
-    if rn * rn == d.numerator and rd * rd == d.denominator:
-        return Fraction(rn, rd)
-    return None
+def _quad(base: Fraction, coeff: Fraction, rad: Fraction) -> "Fraction | QuadExt":
+    """base + coeff*sqrt(rad) for a radicand that already passed
+    QuadExt's checks: the Fraction base when coeff cancelled to zero."""
+    if not coeff:
+        return base
+    q = object.__new__(QuadExt)
+    object.__setattr__(q, "base", base)
+    object.__setattr__(q, "coeff", coeff)
+    object.__setattr__(q, "rad", rad)
+    return q
 
 
-def _sign_fraction(q: Fraction) -> int:
-    return (q > 0) - (q < 0)
+def _positive(x: Scalar) -> bool:
+    """x > 0, exactly; an irrational x is never zero, so its two parts
+    never cancel and comparing base^2 with coeff^2 * rad decides it."""
+    if not isinstance(x, QuadExt):
+        return x > 0
+    b, c = x.base, x.coeff
+    if c > 0:
+        return b >= 0 or b * b < c * c * x.rad
+    return b > 0 and b * b > c * c * x.rad
 
 
 class QuadExt:
-    """base + coeff*sqrt(rad), all rational, rad >= 0.
+    """base + coeff*sqrt(rad), all rational, coeff != 0 and rad > 0 not a
+    rational square; an irrational value, hence truthy.
 
-    Canonical form: coeff == 0 implies rad == 0, and a perfect-square
-    radicand is folded into base at construction. Supports +, -, *, /,
-    integer powers, exact comparisons and an exact sign().
+    QuadExt(base, coeff, rad) returns the Fraction base + coeff*sqrt(rad)
+    when that is rational. Supports +, -, *, /, integer powers and exact
+    comparisons; equality compares (base, coeff, rad), so a QuadExt never
+    equals a rational.
     """
 
     __slots__ = ("base", "coeff", "rad")
 
-    def __init__(self, base, coeff=0, rad=0):
-        base = frac(base)
-        coeff = frac(coeff)
-        rad = frac(rad)
+    def __new__(cls, base, coeff=0, rad=0):
+        base, coeff, rad = frac(base), frac(coeff), frac(rad)
         if rad < 0:
             raise NegativeRadicand(f"radicand {rad} is negative")
-        if coeff != 0:
-            root = _perfect_sqrt(rad)
-            if root is not None:
-                base += coeff * root
-                coeff = ZERO
-                rad = ZERO
-        else:
-            rad = ZERO
-        if coeff == 0:
-            rad = ZERO
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "coeff", coeff)
-        object.__setattr__(self, "rad", rad)
+        rn, rd = isqrt(rad.numerator), isqrt(rad.denominator)
+        if rn * rn == rad.numerator and rd * rd == rad.denominator:
+            return base + coeff * Fraction(rn, rd)
+        return _quad(base, coeff, rad)
 
     def __setattr__(self, name, value):
         raise AttributeError("QuadExt is immutable")
@@ -100,92 +98,75 @@ class QuadExt:
     def __reduce__(self):
         return (QuadExt, (self.base, self.coeff, self.rad))
 
-    # -- coercion --
-
-    @staticmethod
-    def _lift(value) -> "QuadExt | None":
-        if isinstance(value, QuadExt):
-            return value
-        if isinstance(value, (int, Fraction)):
-            return QuadExt(value)
-        return None
-
-    def _common_rad(self, other: "QuadExt") -> Fraction:
-        if self.coeff == 0:
-            return other.rad
-        if other.coeff == 0:
-            return self.rad
+    def _same_rad(self, other: "QuadExt") -> Fraction:
         if self.rad != other.rad:
             raise MixedRadicands(f"sqrt({self.rad}) vs sqrt({other.rad})")
         return self.rad
 
-    # -- ring operations --
+    # -- field operations --
 
     def __add__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        rad = self._common_rad(o)
-        return QuadExt(self.base + o.base, self.coeff + o.coeff, rad)
+        if isinstance(other, QuadExt):
+            return _quad(self.base + other.base, self.coeff + other.coeff, self._same_rad(other))
+        if isinstance(other, (int, Fraction)):
+            return _quad(self.base + other, self.coeff, self.rad)
+        return NotImplemented
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QuadExt(-self.base, -self.coeff, self.rad)
+        return _quad(-self.base, -self.coeff, self.rad)
 
     def __sub__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
+        if isinstance(other, QuadExt):
+            return _quad(self.base - other.base, self.coeff - other.coeff, self._same_rad(other))
+        if isinstance(other, (int, Fraction)):
+            return _quad(self.base - other, self.coeff, self.rad)
+        return NotImplemented
 
     def __rsub__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
+        if isinstance(other, (int, Fraction)):
+            return _quad(other - self.base, -self.coeff, self.rad)
+        return NotImplemented
 
     def __mul__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        rad = self._common_rad(o)
-        return QuadExt(
-            self.base * o.base + self.coeff * o.coeff * rad,
-            self.base * o.coeff + self.coeff * o.base,
-            rad,
-        )
+        if isinstance(other, QuadExt):
+            rad = self._same_rad(other)
+            return _quad(self.base * other.base + self.coeff * other.coeff * rad,
+                         self.base * other.coeff + self.coeff * other.base, rad)
+        if isinstance(other, (int, Fraction)):
+            return _quad(self.base * other, self.coeff * other, self.rad)
+        return NotImplemented
 
     __rmul__ = __mul__
 
     def inverse(self) -> "QuadExt":
+        # the norm of an irrational value is never zero
         norm = self.base * self.base - self.coeff * self.coeff * self.rad
-        if norm == 0:
-            raise ZeroDivisionError("division by zero quadratic-extension value")
-        return QuadExt(self.base / norm, -self.coeff / norm, self.rad)
+        return _quad(self.base / norm, -self.coeff / norm, self.rad)
 
     def __truediv__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
+        if isinstance(other, QuadExt):
+            return self * other.inverse()
+        if isinstance(other, (int, Fraction)):
+            return _quad(self.base / other, self.coeff / other, self.rad)
+        return NotImplemented
 
     def __rtruediv__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
+        if isinstance(other, (int, Fraction)):
+            return self.inverse() * other
+        return NotImplemented
 
     def __pow__(self, exp: int):
         if not isinstance(exp, int):
             return NotImplemented
         if exp < 0:
             return self.inverse() ** (-exp)
-        result = QuadExt(ONE)
+        result = ONE
         square = self
         while exp:
             if exp & 1:
-                result = result * square
+                result = square * result
             exp >>= 1
             if exp:
                 square = square * square
@@ -193,102 +174,34 @@ class QuadExt:
 
     # -- order and identity --
 
-    def sign(self) -> int:
-        """Exact sign of base + coeff*sqrt(rad); no floating point."""
-        if self.coeff == 0:
-            return _sign_fraction(self.base)
-        if self.base == 0:
-            return _sign_fraction(self.coeff)
-        sb = _sign_fraction(self.base)
-        sc = _sign_fraction(self.coeff)
-        if sb == sc:
-            return sb
-        # opposite signs: compare magnitudes base^2 vs coeff^2 * rad
-        lhs = self.base * self.base
-        rhs = self.coeff * self.coeff * self.rad
-        if lhs > rhs:
-            return sb
-        if lhs < rhs:
-            return sc
-        return 0  # unreachable for non-square rad unless both parts zero
-
-    def is_zero(self) -> bool:
-        return self.base == 0 and self.coeff == 0
-
-    def __bool__(self):
-        return not self.is_zero()
-
     def __eq__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        if self.coeff == 0 and o.coeff == 0:
-            return self.base == o.base
-        try:
-            diff = self - o
-        except MixedRadicands:
-            return False
-        return diff.is_zero()
+        if isinstance(other, QuadExt):
+            return (self.base, self.coeff, self.rad) == (other.base, other.coeff, other.rad)
+        return NotImplemented
 
     def __hash__(self):
-        if self.coeff == 0:
-            return hash(self.base)
         return hash((self.base, self.coeff, self.rad))
 
-    def _cmp(self, other) -> int:
-        o = self._lift(other)
-        if o is None:
-            raise TypeError(f"cannot order QuadExt against {type(other)}")
-        return (self - o).sign()
-
     def __lt__(self, other):
-        return self._cmp(other) < 0
+        return _positive(other - self)
 
     def __le__(self, other):
-        return self._cmp(other) <= 0
+        return not _positive(self - other)
 
     def __gt__(self, other):
-        return self._cmp(other) > 0
+        return _positive(self - other)
 
     def __ge__(self, other):
-        return self._cmp(other) >= 0
+        return not _positive(other - self)
 
     # -- conversions --
-
-    def to_fraction(self) -> Fraction:
-        if self.coeff != 0:
-            raise NotRational(f"{self} has an irrational part")
-        return self.base
 
     def __float__(self):
         # diagnostics only; result paths stay exact
         return float(self.base) + float(self.coeff) * float(self.rad) ** 0.5
 
     def __repr__(self):
-        if self.coeff == 0:
-            return f"QuadExt({self.base})"
         return f"QuadExt({self.base} + {self.coeff}*sqrt({self.rad}))"
 
     def __str__(self):
-        if self.coeff == 0:
-            return str(self.base)
         return f"{self.base} + {self.coeff}*sqrt({self.rad})"
-
-
-def scalar_is_zero(x: Scalar) -> bool:
-    if isinstance(x, QuadExt):
-        return x.is_zero()
-    return x == 0
-
-
-def scalar_sign(x: Scalar) -> int:
-    if isinstance(x, QuadExt):
-        return x.sign()
-    return (x > 0) - (x < 0)
-
-
-def demote(x: Scalar) -> Scalar:
-    """Collapse a rational-valued QuadExt back to a Fraction."""
-    if isinstance(x, QuadExt) and x.coeff == 0:
-        return x.base
-    return x

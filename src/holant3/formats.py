@@ -69,7 +69,7 @@ def format_rational(q: Fraction) -> str:
 
 
 def format_scalar(x: Scalar):
-    if isinstance(x, QuadExt) and x.coeff != 0:
+    if isinstance(x, QuadExt):
         return {"base": format_rational(x.base), "coeff": format_rational(x.coeff),
                 "radicand": format_rational(x.rad)}
     return format_rational(frac(x))

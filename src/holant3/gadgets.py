@@ -19,9 +19,9 @@ from __future__ import annotations
 from itertools import permutations, product
 
 from .errors import ArityMismatch, GridStructureError
-from .exact import Scalar, scalar_is_zero, scalar_sign
+from .exact import Scalar
 from .grid import Gadget, SignatureGrid, contract
-from .signatures import EQ3, SymSig, Tensor
+from .signatures import EQ3, SymSig, Tensor, sym_to_tensor
 
 
 def build_transfer_gadget(f: SymSig) -> Gadget:
@@ -183,8 +183,8 @@ def _matches_up_to_positive_scalar(found: Tensor, target: Tensor) -> bool:
         return False
     ratio: Scalar | None = None
     for a, b in zip(found.entries, target.entries):
-        if scalar_is_zero(b):
-            if not scalar_is_zero(a):
+        if not b:
+            if a:
                 return False
             continue
         r = a / b
@@ -193,8 +193,8 @@ def _matches_up_to_positive_scalar(found: Tensor, target: Tensor) -> bool:
         elif r != ratio:
             return False
     if ratio is None:  # target identically zero
-        return all(scalar_is_zero(a) for a in found.entries)
-    return scalar_sign(ratio) > 0
+        return not any(found.entries)
+    return ratio > 0
 
 
 def gadget_search(f: SymSig, target, max_f: int, max_eq: int,
@@ -210,11 +210,7 @@ def gadget_search(f: SymSig, target, max_f: int, max_eq: int,
     with a letter other than L and R (GridStructureError) are refused
     before the search.
     """
-    if isinstance(target, SymSig):
-        target_tensor = Tensor(target.arity, [target.value_at(p) for p in range(1 << target.arity)])
-    else:
-        target_tensor = target
-    d = target_tensor.arity
+    d = target.arity
     if polarities is None:
         polarities = tuple("L" for _ in range(d))
     polarities = tuple(polarities)
@@ -222,6 +218,9 @@ def gadget_search(f: SymSig, target, max_f: int, max_eq: int,
         raise ArityMismatch(f"{len(polarities)} polarities for a target of arity {d}")
     if not set(polarities) <= {"L", "R"}:
         raise GridStructureError(f"polarities must be 'L' or 'R', got {polarities!r}")
+    if d > 3 * (max_f + max_eq):
+        return None     # no gadget within the bounds has d dangling ports
+    target_tensor = sym_to_tensor(target) if isinstance(target, SymSig) else target
     want_l = sum(1 for p in polarities if p == "L")
     want_r = d - want_l
     for n_f in range(0, max_f + 1):

@@ -36,7 +36,7 @@ from .errors import (
     PolarityError,
     TooManyEdges,
 )
-from .exact import Scalar, demote, scalar_is_zero
+from .exact import Scalar
 from .signatures import EQ3, SymSig, Tensor, is_generalized_equality
 
 Port = tuple  # (vertex id, slot index)
@@ -178,7 +178,7 @@ def _patterns(sig, shape: tuple, k: int):
     pats = []
     for q in range(1 << k):
         val = sig.value_at(sum(1 << s for s, j in enumerate(shape) if q >> j & 1))
-        if not scalar_is_zero(val):
+        if val:
             pats.append((q, val))
     if not all(isinstance(val, Fraction) for _, val in pats):
         return pats, 1
@@ -330,7 +330,7 @@ def _eliminate(grid: SignatureGrid, max_edges: int) -> list:
                     add |= ab
                 if w:
                     val *= w[bit]
-            if weighted and scalar_is_zero(val):
+            if weighted and not val:
                 continue
             groups.setdefault(need, []).append((add, val))
         keep = ~mask
@@ -357,7 +357,7 @@ def _eliminate(grid: SignatureGrid, max_edges: int) -> list:
     unit = Fraction(1, den) * const
     values = [Fraction(0)] * (1 << d)      # ports of one variable that differ give 0
     for p, acc in sums.items():
-        values[p] = demote(unit * acc)
+        values[p] = unit * acc
     return values
 
 

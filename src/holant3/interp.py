@@ -39,7 +39,7 @@ from .errors import (
     EigenvectorSeed,
     UnderdeterminedInterpolation,
 )
-from .exact import Scalar, demote, scalar_is_zero
+from .exact import Scalar
 from .gadgets import build_transfer_chain
 from .grid import DEFAULT_EDGE_CAP, SignatureGrid, holant
 from .linalg import vandermonde_solve
@@ -158,18 +158,23 @@ def _recover(values, lam, mu, n: int, r_lam, r_mu):
     A zero lam kills every stratum but the all-mu one for s >= 1: strata
     is None and only strata[0] = values[1] / mu^n is known. That is the
     value when r_lam == 0; for n == 1, values[0] gives the other stratum.
-    Otherwise raises UnderdeterminedInterpolation.
+    Otherwise raises UnderdeterminedInterpolation, as it does for
+    lam == -mu and n >= 2, where the nodes take only the two values
+    +-mu^n and only the even and odd strata sums are known.
     """
     nodes = tuple(lam**k * mu ** (n - k) for k in range(n + 1))
-    if not scalar_is_zero(lam):
+    if lam:
+        if n >= 2 and lam == -mu:
+            raise UnderdeterminedInterpolation("lam = -mu: only the even and odd strata sums "
+                                               "are recoverable")
         strata = tuple(vandermonde_solve(list(nodes), values[:n + 1]))
         value = sum((r_lam**k * r_mu ** (n - k) * c for k, c in enumerate(strata)), Fraction(0))
-        return nodes, strata, demote(value)
+        return nodes, strata, value
     all_mu = values[1] / mu**n
-    if scalar_is_zero(r_lam):
-        return nodes, None, demote(r_mu**n * all_mu)
+    if not r_lam:
+        return nodes, None, r_mu**n * all_mu
     if n == 1:
-        return nodes, None, demote(r_mu * all_mu + r_lam * (values[0] - all_mu))
+        return nodes, None, r_mu * all_mu + r_lam * (values[0] - all_mu)
     raise UnderdeterminedInterpolation("zero eigenvalue: only the all-mu stratum is recoverable")
 
 
@@ -192,12 +197,11 @@ class StratifiedSystem:
     projector_value: Scalar      # the all-mu stratum
 
 
-def stratify_holant_with_d(grid: SignatureGrid, f: SymSig, extra_lengths: int = 0,
+def stratify_holant_with_d(grid: SignatureGrid, f: SymSig,
                            max_edges: int = DEFAULT_EDGE_CAP) -> StratifiedSystem:
     """Evaluate the grid with every placeholder replaced by transfer
-    chains of length s = 0..n(+extra) and solve the Vandermonde system
-    over the strata. The extra lengths are not used for solving; they
-    let callers check the system out of sample."""
+    chains of length s = 0..n and solve the Vandermonde system over the
+    strata."""
     d_ids = _placeholder_ids(grid)
     n = len(d_ids)
     if n == 0:
@@ -206,7 +210,7 @@ def stratify_holant_with_d(grid: SignatureGrid, f: SymSig, extra_lengths: int = 
     form, _, _ = normalize(f)
 
     values = []
-    for s in range(n + 1 + extra_lengths):
+    for s in range(n + 1):
         chain = build_transfer_chain(form, s) if s else None
         g_s = grid
         for vid in d_ids:
@@ -233,7 +237,7 @@ def _row_eigenvector(m: Mat2, eigenvalue) -> tuple:
     eigenvalues m is not scalar, so one of the two candidates is nonzero."""
     (m00, m01), (m10, m11) = m.rows
     v = (m10, eigenvalue - m00)
-    if scalar_is_zero(v[0]) and scalar_is_zero(v[1]):
+    if not v[0] and not v[1]:
         return (eigenvalue - m11, m01)
     return v
 
@@ -248,7 +252,8 @@ def interpolate_unary(grid: SignatureGrid, u_vertex_ids, m: Mat2, seed: SymSig,
     two distinct real eigenvalues, EigenvectorSeed when the seed is
     proportional to a row eigenvector of m, and
     UnderdeterminedInterpolation when a zero eigenvalue erases the
-    strata the target needs.
+    strata the target needs, or when m has trace zero and there are two
+    or more target vertices.
     """
     if seed.arity != 1:
         raise ArityMismatch("seed must be unary")
@@ -264,13 +269,13 @@ def interpolate_unary(grid: SignatureGrid, u_vertex_ids, m: Mat2, seed: SymSig,
         return holant(grid, max_edges=max_edges)
 
     _, lam, mu = eigenvalues(m)
-    if scalar_is_zero(mu):          # _recover takes a zero eigenvalue as lam
+    if not mu:  # _recover takes a zero eigenvalue as lam
         lam, mu = mu, lam
     # coordinates over the row eigenvectors: seed = alpha e_lam + beta e_mu, target likewise
     eigenbasis = Mat2((_row_eigenvector(m, lam), _row_eigenvector(m, mu)))
     (alpha, beta), (gamma, delta_c) = (Mat2((seed.values, target.values))
                                        * eigenbasis.inverse()).rows
-    if scalar_is_zero(alpha) or scalar_is_zero(beta):
+    if not alpha or not beta:
         raise EigenvectorSeed("seed is proportional to a row eigenvector")
 
     def with_unary(vec) -> SignatureGrid:
@@ -296,7 +301,7 @@ def _entries(g_sig) -> tuple:
 
 def _is_point_mass_on_ones(g_sig) -> bool:
     """Is g a multiple of [0,1]^(x)n, i.e. supported on the all-ones input?"""
-    return all(scalar_is_zero(v) for v in _entries(g_sig)[:-1])
+    return not any(_entries(g_sig)[:-1])
 
 
 def unary_closure_value(g_sig, y) -> Scalar:
@@ -370,4 +375,4 @@ def split_reduction(grid: SignatureGrid, f: SymSig, g_sig, x, y) -> SplitReducti
     out.validate()
 
     factor = unary_closure_value(g_sig, y) ** t
-    return SplitReduction(out, demote(factor), s, plan)
+    return SplitReduction(out, factor, s, plan)

@@ -1,50 +1,35 @@
-"""Exact dense linear solving over the rationals or a quadratic extension."""
+"""Exact Vandermonde solving over the rationals or a quadratic extension."""
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .errors import SingularSystem
-from .exact import Scalar, demote, scalar_is_zero
-
-
-def solve_linear(matrix, rhs) -> list:
-    """Solve a square system by Gaussian elimination with exact division.
-
-    Entries may be Fractions or QuadExt values over one radicand.
-    Raises SingularSystem when the matrix is not invertible.
-    """
-    n = len(matrix)
-    if any(len(row) != n for row in matrix) or len(rhs) != n:
-        raise SingularSystem("square system expected")
-
-    def lift(v):
-        return Fraction(v) if isinstance(v, int) else v
-
-    a = [[lift(v) for v in row] + [lift(rhs[i])] for i, row in enumerate(matrix)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if not scalar_is_zero(a[r][col])), None)
-        if pivot is None:
-            raise SingularSystem(f"no pivot in column {col}")
-        a[col], a[pivot] = a[pivot], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [v * inv for v in a[col]]
-        for r in range(n):
-            if r != col and not scalar_is_zero(a[r][col]):
-                factor = a[r][col]
-                a[r] = [vr - factor * vc for vr, vc in zip(a[r], a[col])]
-    return [demote(a[i][n]) for i in range(n)]
+from .exact import ONE, ZERO
 
 
 def vandermonde_solve(nodes, values) -> list:
-    """Coefficients c with sum_i c_i * nodes_i^s = values_s for s = 0..n."""
+    """Coefficients c with sum_i c_i * nodes_i^s = values_s for s = 0..n-1.
+
+    The transposed Vandermonde system is solved directly in O(n^2) over
+    the Lagrange basis of the master polynomial P = prod_i (x - nodes_i):
+    with Q_i = P / (x - nodes_i) = sum_s q_s x^s, c_i = sum_s q_s
+    values_s / Q_i(nodes_i). Nodes may be Fractions or QuadExt values
+    over one radicand. Raises SingularSystem on a repeated node or when
+    the lengths differ.
+    """
     n = len(nodes)
     if len(values) != n:
         raise SingularSystem("need as many equations as nodes")
-    powers = [[None] * n for _ in range(n)]
-    for i, t in enumerate(nodes):
-        acc: Scalar = Fraction(1)
-        for s in range(n):
-            powers[s][i] = acc
-            acc = acc * t
-    return solve_linear(powers, list(values))
+    master = [ONE]                   # coefficients of P, lowest degree first
+    for t in nodes:
+        master = [a - t * b for a, b in zip([ZERO] + master, master + [ZERO])]
+    solution = []
+    for t in nodes:
+        q = num = den = ZERO
+        for s in range(n - 1, -1, -1):
+            q = master[s + 1] + t * q    # coefficient of x^s in Q_i, by synthetic division
+            num += q * values[s]
+            den = den * t + q            # Horner: Q_i(t)
+        if not den:
+            raise SingularSystem(f"repeated node {t}")
+        solution.append(num / den)
+    return solution

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import GridStructureError, NotGenusZero, NotSkewSymmetric
-from .exact import Scalar, demote, frac, scalar_is_zero
+from .exact import Scalar, frac
 from .grid import connected_components
 
 
@@ -370,7 +370,7 @@ def pfaffian(matrix) -> Scalar:
                     row_i[l] = (v, t + 1)
                     rows[l][i] = (-v, t + 1)
     result = sign * pivots[-1]
-    return Fraction(result) if isinstance(result, int) else demote(result)
+    return Fraction(result) if isinstance(result, int) else result
 
 
 # -- perfect matchings -------------------------------------------------------
@@ -386,9 +386,9 @@ def count_pm(g: PlanarMultigraph) -> Scalar:
         # the Euler check above covered every component; each needs only its faces
         sub = g.without_vertices(set(g.vertices) - comp)
         total = total * _count_pm_component(sub, trace_faces(sub))
-        if scalar_is_zero(total):
+        if not total:
             return Fraction(0)
-    return demote(total)
+    return total
 
 
 def enumerate_pm(g: PlanarMultigraph) -> Scalar:
@@ -411,7 +411,7 @@ def enumerate_pm(g: PlanarMultigraph) -> Scalar:
                 total = total + weight * rec(rest - {w})
         return total
 
-    return demote(rec(frozenset(g.vertices)))
+    return rec(frozenset(g.vertices))
 
 
 def _count_pm_component(g: PlanarMultigraph, faces) -> Scalar:
@@ -436,7 +436,7 @@ def _count_pm_component(g: PlanarMultigraph, faces) -> Scalar:
         unit[j][i] = unit[j].get(i, 0) - 1
     # every matching carries the same sign tau, so Pf(unit) = tau * #PM
     signed_count = pfaffian(unit)
-    if scalar_is_zero(signed_count):
+    if not signed_count:
         return Fraction(0)
     pf = pfaffian(weighted)
-    return demote(pf if signed_count > 0 else -pf)
+    return pf if signed_count > 0 else -pf

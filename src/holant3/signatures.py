@@ -21,13 +21,11 @@ from .errors import (
     ZeroA,
     ZeroDelta,
 )
-from .exact import ONE, QuadExt, Scalar, demote, frac, scalar_is_zero, scalar_sign, sqrt_exact
+from .exact import ONE, QuadExt, Scalar, frac, sqrt_exact
 
 
 def _norm_entry(x) -> Scalar:
-    if isinstance(x, QuadExt):
-        return demote(x)
-    return frac(x)
+    return x if isinstance(x, QuadExt) else frac(x)
 
 
 @dataclass(frozen=True)
@@ -50,7 +48,7 @@ class SymSig:
         return self.values[pattern.bit_count()]
 
     def is_nonnegative(self) -> bool:
-        return all(scalar_sign(v) >= 0 for v in self.values)
+        return all(v >= 0 for v in self.values)
 
     def scaled(self, factor) -> "SymSig":
         return SymSig([v * factor for v in self.values])
@@ -119,9 +117,9 @@ def normalize(f: SymSig):
     if not f.is_nonnegative():
         raise NegativeEntry(f"normalize expects nonnegative entries, got {f}")
     x0, x3 = f[0], f[3]
-    if scalar_is_zero(x0) and scalar_is_zero(x3):
+    if not x0 and not x3:
         raise NormalizationUndefined("both end entries are zero")
-    if not scalar_is_zero(x0):
+    if x0:
         scalar = x0
         form = SymSig([v / scalar for v in f.values])
         return form, scalar, False
@@ -141,20 +139,20 @@ def is_degenerate(f: SymSig) -> bool:
     vanishing of all 2x2 minors of [[x0,x1,x2],[x1,x2,x3]]."""
     if f.arity != 3:
         raise ArityMismatch("degeneracy test expects a ternary signature")
-    return all(scalar_is_zero(m) for m in _hankel_minors(f))
+    return not any(_hankel_minors(f))
 
 
 def is_generalized_equality(s: SymSig) -> bool:
     """[a,0,...,0,b] of arity >= 1: every port carries one value."""
-    return s.arity >= 1 and all(scalar_is_zero(x) for x in s.values[1:-1])
+    return s.arity >= 1 and not any(s.values[1:-1])
 
 
 def affine_scale(f: SymSig):
     """x0 if ternary f = x0 [1,0,1,0], x1 if f = x1 [0,1,0,1], else None."""
     x0, x1, x2, x3 = f.values
-    if scalar_is_zero(x1) and scalar_is_zero(x3) and x0 == x2:
+    if not x1 and not x3 and x0 == x2:
         return x0
-    return x1 if scalar_is_zero(x0) and scalar_is_zero(x2) and x1 == x3 else None
+    return x1 if not x0 and not x2 and x1 == x3 else None
 
 
 @dataclass(frozen=True)
@@ -218,7 +216,7 @@ class Mat2:
 
     def inverse(self) -> "Mat2":
         d = self.det()
-        if scalar_is_zero(d):
+        if not d:
             raise ZeroDivisionError("singular 2x2 matrix")
         (a, b), (c, dd) = self.rows
         return Mat2(((dd / d, -b / d), (-c / d, a / d)))
@@ -286,26 +284,26 @@ def eigenvalues(m: Mat2):
     (m00, m01), (m10, m11) = m.rows
     gap = m00 - m11
     disc = gap * gap + 4 * m01 * m10
-    if scalar_is_zero(disc):
+    if not disc:
         raise ZeroDelta("coincident eigenvalues: discriminant is zero")
-    if scalar_sign(disc) < 0:
+    if disc < 0:
         raise ZeroDelta("eigenvalues are not real: negative discriminant")
-    delta = sqrt_exact(frac(disc))
+    delta = sqrt_exact(disc)
     tr = m.trace()
-    return demote(delta), demote((tr - delta) / 2), demote((tr + delta) / 2)
+    return delta, (tr - delta) / 2, (tr + delta) / 2
 
 
 def jordan(m: Mat2) -> JordanData:
     """Diagonalize a 2x2 matrix with distinct real eigenvalues in a
     quadratic extension; verifies P diag(lam, mu) P^-1 == m exactly."""
     (m00, _), (m10, m11) = m.rows
-    if scalar_is_zero(m10):
+    if not m10:
         raise ZeroA("lower-left entry is zero; eigenvector parameters x, y undefined")
     delta, lam, mu = eigenvalues(m)
     gap = m00 - m11
     x = (delta - gap) / (2 * m10)
     y = (delta + gap) / (2 * m10)
-    data = JordanData(delta, lam, mu, demote(x), demote(y))
+    data = JordanData(delta, lam, mu, x, y)
     if data.reconstruct() != m:
         raise AssertionError("eigen-decomposition failed to reconstruct the matrix")
     return data
@@ -334,7 +332,7 @@ def transform_sym(s: SymSig, m: Mat2, side: str) -> SymSig:
                 ti = (target >> i) & 1
                 si = (source >> i) & 1
                 coeff = coeff * (m[ti][si] if side == "left" else m[si][ti])
-                if scalar_is_zero(coeff):
+                if not coeff:
                     break
             else:
                 acc = acc + coeff * src.value_at(source)
@@ -346,7 +344,7 @@ def hadamard_transform(s: SymSig, which: str = "H", side: str = "left") -> SymSi
     """Holographic basis change by H = [[1,1],[1,-1]] or its inverse."""
     if which == "H":
         m = HADAMARD
-    elif which in ("H_inv", "H_inverse"):
+    elif which == "H_inverse":
         m = HADAMARD_INV
     else:
         raise ValueError("which must be 'H' or 'H_inverse'")

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import HardnessRefusal, NotDegenerate, WrongCase
-from .exact import scalar_is_zero
 from .dichotomy import FP, TernaryClassification, classify_ternary
 from .grid import DEFAULT_EDGE_CAP, SignatureGrid, connected_components, holant
 from .signatures import (EQ3, SymSig, affine_scale, decompose_degenerate, is_degenerate,
@@ -93,7 +92,7 @@ def solve_affine(inst: TractableInstance) -> Fraction:
     scale = affine_scale(f)
     if scale is None:
         raise WrongCase(f"{f} is not a parity signature")
-    if scalar_is_zero(scale):
+    if not scale:
         return Fraction(0) if inst.grid.vertices else Fraction(1)
 
     var = {vid: 1 << j for j, vid in enumerate(inst.right_ids())}

@@ -4,8 +4,13 @@ from fractions import Fraction
 
 import pytest
 
-from holant3.exact import QuadExt, demote, sqrt_exact
+from hypothesis import given, settings, strategies as st
+
+from holant3.exact import QuadExt, frac, sqrt_exact
 from holant3.errors import MixedRadicands, NegativeRadicand, NotRational
+from holant3.grid import SignatureGrid, holant
+from holant3.planar import pfaffian
+from holant3.signatures import Mat2, SymSig, jordan
 
 
 def test_sqrt_exact_perfect_squares_collapse():
@@ -22,7 +27,7 @@ def test_sqrt_negative_rejected():
 
 def test_perfect_square_radicand_folds_to_rational():
     v = QuadExt(Fraction(1, 3), Fraction(2), Fraction(25, 16))
-    assert v.coeff == 0
+    assert type(v) is Fraction
     assert v == Fraction(1, 3) + Fraction(2) * Fraction(5, 4)
 
 
@@ -36,9 +41,10 @@ def test_mixed_radicands_rejected():
 
 
 def test_rational_projection():
-    assert demote(QuadExt(Fraction(7, 2))) == Fraction(7, 2)
+    v = QuadExt(Fraction(7, 2))
+    assert type(v) is Fraction and v == Fraction(7, 2)
     with pytest.raises(NotRational):
-        QuadExt(0, 1, 5).to_fraction()
+        frac(QuadExt(0, 1, 5))
 
 
 def test_rat_associativity_and_canonical_form():
@@ -63,9 +69,9 @@ def test_quadext_field_inverse():
     for _ in range(300):
         p = _rand_quadext(rng, rad)
         q = _rand_quadext(rng, rad)
-        if p.is_zero():
+        if not p:
             continue
-        assert (p * q) * p.inverse() == q
+        assert (p * q) * (1 / p) == q
         assert p * (1 / p) == 1
 
 
@@ -78,7 +84,7 @@ def test_quadext_sign_matches_float_on_1000_samples():
         approx = float(v)
         if abs(approx) <= 1e-9:
             continue
-        assert v.sign() == (1 if approx > 0 else -1)
+        assert (v > 0) - (v < 0) == (1 if approx > 0 else -1)
         checked += 1
         if checked >= 1000:
             break
@@ -95,4 +101,96 @@ def test_quadext_comparisons_and_pow():
 
 def test_quadext_zero_division():
     with pytest.raises(ZeroDivisionError):
-        QuadExt(0, 0, 0).inverse()
+        1 / QuadExt(0, 0, 0)
+    with pytest.raises(ZeroDivisionError):
+        QuadExt(0, 1, 2) / 0
+
+
+# -- canonical form: a QuadExt is always irrational ---------------------------
+
+RADICANDS = [Fraction(2), Fraction(33), Fraction(5, 7)]
+
+
+def _pair(x, rad):
+    """(base, coeff) of a scalar of Q(sqrt(rad)), checked canonical: a
+    rational is an int or a Fraction, a QuadExt has coeff != 0 over rad."""
+    if isinstance(x, QuadExt):
+        assert x.coeff != 0 and x.rad == rad
+        return x.base, x.coeff
+    assert type(x) in (int, Fraction)
+    return Fraction(x), Fraction(0)
+
+
+def _reference(op, x, y, e, rad):
+    """The operation on (base, coeff) pairs, independent of QuadExt."""
+    (a, b), (c, d) = _pair(x, rad), _pair(y, rad)
+    if op == "+":
+        return a + c, b + d
+    if op == "-":
+        return a - c, b - d
+    if op == "*":
+        return a * c + b * d * rad, a * d + b * c
+    if op == "/":
+        norm = c * c - d * d * rad
+        return (a * c - b * d * rad) / norm, (b * c - a * d) / norm
+    if e < 0:
+        norm = a * a - b * b * rad
+        a, b = a / norm, -b / norm
+    acc = (Fraction(1), Fraction(0))
+    for _ in range(abs(e)):
+        acc = (acc[0] * a + acc[1] * b * rad, acc[0] * b + acc[1] * a)
+    return acc
+
+
+_OPS = {"+": lambda x, y, e: x + y, "-": lambda x, y, e: x - y,
+        "*": lambda x, y, e: x * y, "/": lambda x, y, e: x / y, "**": lambda x, y, e: x ** e}
+_small = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(rad=st.sampled_from(RADICANDS),
+       seeds=st.lists(st.tuples(_small, _small), min_size=1, max_size=3),
+       steps=st.lists(st.tuples(st.sampled_from(sorted(_OPS)), st.integers(0, 63),
+                                st.integers(0, 63), st.integers(-3, 3)), max_size=12))
+def test_operations_never_yield_a_rational_valued_quadext(rad, seeds, steps):
+    """Random + - * / ** chains in Q(sqrt(rad)) held to (base, coeff)
+    pair arithmetic: each result is a Fraction exactly when its
+    irrational part is zero, and a QuadExt with coeff != 0 otherwise."""
+    root = sqrt_exact(rad)
+    pool = [root, -root] + [QuadExt(b, c, rad) for b, c in seeds]
+    for op, i, j, e in steps:
+        x, y = pool[i % len(pool)], pool[j % len(pool)]
+        if (op == "/" and not y) or (op == "**" and not x and e < 0):
+            continue
+        z = _OPS[op](x, y, e)
+        assert _pair(z, rad) == _reference(op, x, y, e, rad)
+        pool.append(z)
+
+
+def test_cancelling_operations_return_fractions():
+    for rad in RADICANDS:
+        r = sqrt_exact(rad)
+        for value in (r - r, r * r, r / r, r ** 2, r ** -2, (1 + r) * (1 - r), (2 + r) + (-r),
+                      QuadExt(3, 0, rad), 1 / r * r):
+            assert type(value) is Fraction
+        assert isinstance(r + r, QuadExt) and r != rad and r != 0
+
+
+def test_library_results_with_rational_value_are_fractions():
+    # jordan on a perfect-square discriminant: (1 - 0)^2 + 4*2*1 = 9
+    jd = jordan(Mat2(((1, 2), (1, 0))))
+    assert (jd.delta, jd.lam, jd.mu, jd.x, jd.y) == (3, -1, 2, 1, 2)
+    assert all(type(v) is Fraction for v in (jd.delta, jd.lam, jd.mu, jd.x, jd.y))
+    # Pf = a01 a23 - a02 a13 + a03 a12 with irrational entries, rational value
+    r = sqrt_exact(2)
+    skew = [[0, 1 + r, r, 0], [-1 - r, 0, 0, r], [-r, 0, 0, 1 - r], [0, -r, r - 1, 0]]
+    pf = pfaffian(skew)
+    assert type(pf) is Fraction and pf == -3
+    # two weighted equalities joined by a triple edge: 2 * (1/3) + r * r
+    pair = SignatureGrid()
+    pair.add_vertex("p", SymSig([2, 0, 0, r]), "L")
+    pair.add_vertex("q", SymSig([Fraction(1, 3), 0, 0, r]), "R")
+    for s in range(3):
+        pair.add_edge(("p", s), ("q", s))
+    value = holant(pair)
+    assert type(value) is Fraction and value == Fraction(8, 3)

@@ -172,3 +172,16 @@ def test_gadget_search_refuses_bad_polarities_before_searching(polarities, error
     monkeypatch.setattr(gadgets_module, "_biadjacency_matrices", no_search)
     with pytest.raises(error):
         gadget_search(SymSig([1, 2, 3, 5]), SymSig([1, 1, 1, 1]), 4, 4, polarities=polarities)
+
+
+def test_gadget_search_misses_an_arity_past_its_bounds_without_building_the_target(monkeypatch):
+    """A gadget has at most 3 (max_f + max_eq) dangling ports, so a wider
+    target is a miss before its 2^arity tensor is built."""
+    import holant3.gadgets as gadgets_module
+
+    def no_tensor(*args):
+        raise AssertionError("target tensor built")
+
+    monkeypatch.setattr(gadgets_module, "sym_to_tensor", no_tensor)
+    assert gadget_search(SymSig([1, 2, 3, 5]), SymSig([1] * 31), 4, 5) is None
+    assert gadget_search(SymSig([1, 2, 3, 5]), SymSig([1] * 21), 0, 0) is None

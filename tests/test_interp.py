@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from holant3.errors import (CountMismatch, DegenerateG, EigenvectorSeed,
+from holant3.errors import (CountMismatch, DegenerateG, EigenvectorSeed, SingularSystem,
                              UnderdeterminedInterpolation, ZeroA, ZeroDelta)
 from holant3.exact import QuadExt
 from holant3.grid import SignatureGrid, bipartite_grid, holant
@@ -98,17 +98,25 @@ def test_interpolation_with_zero_eigenvalue():
 def test_stratified_system_predicts_out_of_sample_lengths():
     """The solved strata must reproduce chain-substituted values at
     lengths never used in the solve."""
-    from holant3.interp import stratify_holant_with_d
+    from holant3.gadgets import build_transfer_chain
+    from holant3.interp import (_placeholder_ids, stratify_holant_with_d,
+                                substitute_placeholder_chain)
 
     rng = random.Random(56)
     for _ in range(6):
         f = SymSig([1, rand_positive(rng, hi=4, den=2), rand_positive(rng, hi=4, den=2),
-                    rand_positive(rng, hi=4, den=2)])
+                    rand_positive(rng, hi=4, den=2)])   # x0 = 1: f is its own normal form
         grid = add_placeholder_on_edge(bipartite_grid(f, PAIRS_2x2), 0)
         grid = add_placeholder_on_edge(grid, 1)
-        system = stratify_holant_with_d(grid, f, extra_lengths=2, max_edges=32)
-        assert len(system.values) == system.occurrences + 3
-        for s, value in enumerate(system.values):
+        system = stratify_holant_with_d(grid, f, max_edges=32)
+        assert len(system.values) == system.occurrences + 1
+        values = list(system.values)
+        for s in range(system.occurrences + 1, system.occurrences + 3):
+            g_s = grid
+            for vid in _placeholder_ids(grid):
+                g_s = substitute_placeholder_chain(g_s, vid, build_transfer_chain(f, s))
+            values.append(holant(g_s, max_edges=32))
+        for s, value in enumerate(values):
             if system.coefficients is not None:
                 predicted = sum((c * node ** s for c, node in
                                  zip(system.coefficients, system.nodes)), Fraction(0))
@@ -132,6 +140,15 @@ def test_vandermonde_nodes_distinct_and_solvable():
         for s in range(n + 1):
             acc = sum((sol[i] * nodes[i] ** s for i in range(n + 1)), Fraction(0))
             assert acc == rhs[s]
+
+
+def test_vandermonde_solve_refuses_repeated_nodes_and_length_mismatch():
+    r = QuadExt(0, 1, 2)
+    for nodes, rhs in (([2, 3, 2], [1, 1, 1]), ([r, -r, r], [0, 1, 2]), ([2, 3], [1, 1, 1]),
+                       ([2, 3, 5], [1, 1])):
+        with pytest.raises(SingularSystem):
+            vandermonde_solve(nodes, rhs)
+    assert vandermonde_solve([r, -r], [2, 0]) == [1, 1]
 
 
 def _unary_instance(f, u, n):
@@ -205,6 +222,20 @@ def test_interpolate_unary_zero_eigenvalue_off_the_mu_axis_is_underdetermined():
     g = _unary_instance(f, SymSig([3, 1]), 2)
     with pytest.raises(UnderdeterminedInterpolation):
         interpolate_unary(g, [("u", 0), ("u", 1)], straddled_from_f(f), SymSig([2, 1]))
+
+
+@pytest.mark.parametrize("m", [((0, 1), (1, 0)), ((1, 2), (2, -1))])
+def test_interpolate_unary_trace_zero_needs_one_occurrence(m):
+    """lam = -mu leaves the nodes lam^k mu^(n-k) two values, so from two
+    occurrences on only the even and odd strata sums are known."""
+    f = SymSig([1, 2, 3, 4])
+    g = _unary_instance(f, SymSig([3, 1]), 1)
+    assert interpolate_unary(g, [("u", 0)], Mat2(m), SymSig([2, 1])) == holant(g)
+    for n in (2, 3):
+        g = _unary_instance(f, SymSig([3, 1]), n)
+        with pytest.raises(UnderdeterminedInterpolation):
+            interpolate_unary(g, [("u", i) for i in range(n)], Mat2(m), SymSig([2, 1]),
+                              max_edges=64)
 
 
 def test_interpolate_unary_zero_mu_swaps_the_eigenvalues():
@@ -411,5 +442,5 @@ def test_spliced_chain_equals_the_matrix_power(monkeypatch):
     monkeypatch.setattr(interp, "build_transfer_chain",
                         lambda f, s: built.append(s) or build_transfer_chain(f, s))
     grid = add_placeholder_on_edge(add_placeholder_on_edge(bipartite_grid(f, PAIRS_2x2), 0), 1)
-    interp.stratify_holant_with_d(grid, f, extra_lengths=1, max_edges=32)
-    assert built == [1, 2, 3]
+    interp.stratify_holant_with_d(grid, f, max_edges=32)
+    assert built == [1, 2]
