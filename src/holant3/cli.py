@@ -82,7 +82,8 @@ def _check_counts(args):
 
 
 def _grid_signature(grid) -> SymSig:
-    left = [v.sig for v in grid.vertices.values() if all(p == "L" for p in v.polarities)]
+    left = [v.sig for v in grid.vertices.values()
+            if v.polarities.count("L") == len(v.polarities)]
     # identity first: parse_grid gives the vertices of one spec one object
     if not left or any(s is not left[0] and s != left[0] for s in left):
         raise errors.FormatError("left side must carry exactly one signature")

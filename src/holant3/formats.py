@@ -2,12 +2,13 @@
 
 Rationals travel as "p/q" or "p" strings or as JSON ints, never as
 decimals, exponents or bools; quadratic extensions as {"base", "coeff",
-"radicand"} objects; signatures as {"arity": n, "weights": [...]}. Grids
-list vertices, edges as [vid, slot, vid, slot] quadruples and dangling
-ports; planar graphs list per-vertex rotations as [edge index, end]
-pairs; embedded grids add a rotation (slot order) per vertex. Parsers
-take the decoded JSON document, not its text. Every emitted value parses
-back to an identical exact value.
+"radicand"} objects; signatures as {"arity": n, "weights": [...]}, each
+weight a rational or a quadratic extension. Grids list vertices, edges
+as [vid, slot, vid, slot] quadruples and dangling ports; planar graphs
+list per-vertex rotations as [edge index, end] pairs; embedded grids
+add a rotation (slot order) per vertex. Parsers take the decoded JSON
+document, not its text. Every emitted value parses back to an identical
+exact value.
 """
 
 from __future__ import annotations
@@ -16,9 +17,9 @@ import re
 import sys
 from fractions import Fraction
 
-from .errors import FormatError, ParseError
+from .errors import FormatError, GridStructureError, ParseError
 from .exact import QuadExt, Scalar, frac
-from .grid import SignatureGrid
+from .grid import GridVertex, SignatureGrid
 from .matchgates import EmbeddedGrid
 from .planar import PlanarMultigraph
 from .signatures import EQ3, SymSig, Tensor
@@ -86,11 +87,13 @@ def parse_scalar(obj) -> Scalar:
 
 
 def parse_signature(obj) -> SymSig:
-    """Accepts '[1,2,3,4]', '1,2,3,4', or {"arity": n, "weights": [...]}."""
+    """Accepts '[1,2,3,4]', '1,2,3,4', or {"arity": n, "weights": [...]}.
+    Text and list weights are rationals; dict weights are scalars, as
+    format_signature writes them, so a QuadExt weight round-trips."""
     if isinstance(obj, SymSig):
         return obj
     if isinstance(obj, dict):
-        weights = [parse_rational(w) for w in obj.get("weights", [])]
+        weights = [parse_scalar(w) for w in obj.get("weights", [])]
         arity = obj.get("arity", len(weights) - 1)
         if arity != len(weights) - 1:
             raise FormatError(f"arity {arity} disagrees with {len(weights)} weights")
@@ -133,27 +136,49 @@ def _parse_vertex_sig(obj):
     return parse_signature(obj)
 
 
+# id types an edge stores as read: hashable, never folded
+_PLAIN_IDS = frozenset((str, int))
+
+
 def parse_grid(obj) -> SignatureGrid:
+    """One pass over the document. Each distinct (spec, side) is parsed
+    and checked once, with its signature and polarity tuple; every later
+    vertex of that kind costs a duplicate-id check. An edge of str/int
+    ids and int slots goes straight onto the edge list."""
     g = SignatureGrid()
+    vertices, edges = g.vertices, g.edges
     sigs: dict = {}            # one parsed signature per distinct spec
+    kinds: dict = {}           # (spec key, side) -> (signature, polarity tuple)
     try:
         for vspec in obj["vertices"]:
             vid = vspec["id"]
+            if isinstance(vid, list):
+                vid = _vid(vid)
             spec = vspec["sig"]
             # a list or dict keys by type and repr, apart from any text spec
             key = spec if isinstance(spec, str) else (type(spec), repr(spec))
+            side = vspec.get("side", "L")
+            # a "mixed" vertex lists its own polarities and is never shared
+            shared = type(side) is str and side != "mixed"
+            kind = kinds.get((key, side)) if shared else None
+            if kind is not None:
+                if vid in vertices:
+                    raise GridStructureError(f"duplicate vertex id {vid!r}")
+                vertices[vid] = GridVertex(*kind)
+                continue
             sig = sigs.get(key)
             if sig is None:
                 sig = sigs[key] = _parse_vertex_sig(spec)
-            side = vspec.get("side", "L")
-            if side == "mixed":
-                polarity = tuple(vspec["polarities"])
-            else:
-                polarity = side
-            g.add_vertex(_vid(vid), sig, polarity)
+            g.add_vertex(vid, sig, tuple(vspec["polarities"]) if side == "mixed" else side)
+            if shared:
+                kinds[key, side] = sig, vertices[vid].polarities
         for quad in obj.get("edges", []):
             va, sa, vb, sb = quad
-            g.add_edge((_vid(va), _slot(sa)), (_vid(vb), _slot(sb)))
+            if (type(sa) is int and type(sb) is int
+                    and type(va) in _PLAIN_IDS and type(vb) in _PLAIN_IDS):
+                edges.append(((va, sa), (vb, sb)))
+            else:
+                edges.append(((_vid(va), _slot(sa)), (_vid(vb), _slot(sb))))
         for pair in obj.get("dangling", []):
             vid, slot = pair
             g.mark_dangling((_vid(vid), _slot(slot)))

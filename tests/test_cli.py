@@ -5,8 +5,9 @@ import pytest
 
 import holant3.cli as cli
 from holant3.cli import build_parser, main
+from holant3.exact import sqrt_exact
 from holant3.formats import format_embedded_grid, format_grid, format_planar_graph, parse_scalar
-from holant3.grid import bipartite_grid
+from holant3.grid import bipartite_grid, holant
 from holant3.matchgates import ONE_OR_TWO
 from holant3.signatures import SymSig
 from conftest import (
@@ -548,3 +549,30 @@ def test_solve_planar_cover_oracle_skips_over_the_edge_cap(tmp_path, capsys):
                  "--max-edges", "480", "--format", "json"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["oracle"] == "match" and int(out["cover_count"]) > 0
+
+
+def test_eval_reads_back_a_grid_with_quadext_weights(tmp_path, capsys):
+    r = sqrt_exact(2)
+    grid = bipartite_grid(SymSig([1, r, 3, 1 + r]), PAIRS_2x2)
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps(format_grid(grid)))
+    assert main(["eval", "--input", str(path), "--format", "json"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert parse_scalar(out["holant"]) == holant(grid)
+
+
+@pytest.mark.parametrize("edge, message", [
+    (["a", True, "b", 0], "not an integer"),
+    (["a", 0, {"id": "b"}, 0], "bad grid structure"),
+])
+def test_bool_slot_and_unhashable_id_are_input_errors(edge, message, tmp_path, capsys):
+    obj = {"vertices": [{"id": "a", "side": "L", "sig": "[1,0,0,1]"},
+                        {"id": "b", "side": "R", "sig": "EQ3"}],
+           "edges": [edge, ["a", 1, "b", 1], ["a", 2, "b", 2]]}
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps(obj))
+    for command in ("eval", "solve"):
+        assert main([command, "--input", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("input error:")
+        assert message in captured.err

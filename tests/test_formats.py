@@ -4,8 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from holant3.errors import FormatError, ParseError
-from holant3.exact import QuadExt
+from holant3.errors import FormatError, GridStructureError, ParseError
+from holant3.exact import QuadExt, sqrt_exact
 from holant3.formats import (
     format_embedded_grid,
     format_grid,
@@ -21,9 +21,9 @@ from holant3.formats import (
     parse_scalar,
     parse_signature,
 )
-from holant3.grid import bipartite_grid, contract, holant
+from holant3.grid import SignatureGrid, bipartite_grid, contract, holant
 from holant3.planar import count_pm
-from holant3.signatures import EQ3, SymSig
+from holant3.signatures import EQ3, SymSig, Tensor
 from conftest import left_specs_grid_obj, random_planar_graph, theta_chain_grid
 from holant3.matchgates import ONE_OR_TWO
 
@@ -185,3 +185,91 @@ def test_vertices_with_one_spec_share_one_signature():
         parse_grid(left_specs_grid_obj(["[2,0,2,0]", "[2,zebra,2,0]", "[2,0,2,0]"]))
     with pytest.raises(ParseError):
         parse_grid(left_specs_grid_obj([["1", "2"], "['1', '2']", "[2,0,2,0]"]))
+
+
+def test_quadext_weights_round_trip_through_a_grid():
+    r = sqrt_exact(2)
+    g = bipartite_grid(SymSig([1, r, 3, 1 + r]), [(0, 0), (0, 0), (0, 1), (1, 0), (1, 1), (1, 1)])
+    back = parse_grid(json.loads(json.dumps(format_grid(g))))
+    assert back.vertices[("f", 0)].sig == g.vertices[("f", 0)].sig
+    assert holant(back) == holant(g)
+
+
+@pytest.mark.parametrize("weight", ["1.5", "1e3", True, 0.5, "1_0"])
+def test_signatures_still_refuse_decimals_exponents_and_bools(weight):
+    for spec in ([1, weight, 1], f"[1,{weight},1]", {"arity": 2, "weights": ["1", weight, "1"]}):
+        with pytest.raises(ParseError, match="bad rational"):
+            parse_signature(spec)
+
+
+def _grid_doc(vertices, edges):
+    return {"vertices": [{"id": vid, "side": side, "sig": sig} for vid, side, sig in vertices],
+            "edges": edges}
+
+
+def test_one_spec_on_both_sides_gets_each_sides_polarities():
+    spec = "[1,0,0,1]"
+    g = parse_grid(_grid_doc(
+        [("a", "L", spec), ("b", "R", spec), ("c", "L", spec), ("d", "R", spec)],
+        [["a", s, "b", s] for s in range(3)] + [["d", s, "c", s] for s in range(3)]))
+    assert [g.vertices[v].polarities for v in "abcd"] == [("L",) * 3, ("R",) * 3] * 2
+    assert len({id(g.vertices[v].sig) for v in "abcd"}) == 1
+    assert holant(g) == 4
+
+
+def test_mixed_vertices_keep_their_own_polarities():
+    tensor = {"arity": 2, "entries": ["1", "2", "3", "6"]}
+    obj = {
+        "vertices": [{"id": "f0", "side": "L", "sig": "[1,2,0,1]"},
+                     {"id": "q0", "side": "R", "sig": "EQ3"},
+                     {"id": "B1", "side": "mixed", "sig": tensor, "polarities": ["R", "L"]},
+                     {"id": "B2", "side": "mixed", "sig": tensor, "polarities": ["L", "R"]}],
+        "edges": [["f0", 0, "q0", 0], ["f0", 1, "q0", 1], ["f0", 2, "B1", 0],
+                  ["B1", 1, "B2", 1], ["B2", 0, "q0", 2]],
+    }
+    g = parse_grid(obj)
+    assert g.vertices["B1"].polarities == ("R", "L")
+    assert g.vertices["B2"].polarities == ("L", "R")
+    direct = SignatureGrid()
+    direct.add_vertex("f0", SymSig([1, 2, 0, 1]), "L")
+    direct.add_vertex("q0", EQ3, "R")
+    direct.add_vertex("B1", Tensor(2, (1, 2, 3, 6)), ("R", "L"))
+    direct.add_vertex("B2", Tensor(2, (1, 2, 3, 6)), ("L", "R"))
+    for va, sa, vb, sb in obj["edges"]:
+        direct.add_edge((va, sa), (vb, sb))
+    assert holant(g) == holant(direct)
+
+
+@pytest.mark.parametrize("ids", [["a", "a"], ["a", "b", "a"], ["a", "b", "c", "b"]])
+def test_duplicate_id_after_a_shared_vertex_is_refused(ids):
+    obj = _grid_doc([(vid, "L", "[1,0,0,1]") for vid in ids], [])
+    with pytest.raises(GridStructureError, match="duplicate vertex id"):
+        parse_grid(obj)
+
+
+def test_list_ids_fold_to_tuples_in_edges_and_dangling():
+    obj = {
+        "vertices": [{"id": ["f", 0], "side": "L", "sig": "[1,1,1]"},
+                     {"id": [["e", 1], 2], "side": "R", "sig": "[1,1,1]"}],
+        "edges": [[["f", 0], 0, [["e", 1], 2], 0]],
+        "dangling": [[["f", 0], 1], [[["e", 1], 2], 1]],
+    }
+    g = parse_grid(obj)
+    assert g.edges == [((("f", 0), 0), ((("e", 1), 2), 0))]
+    assert g.dangling == [(("f", 0), 1), ((("e", 1), 2), 1)]
+
+
+@pytest.mark.parametrize("edit", [
+    lambda o: o["edges"][0].__setitem__(1, True),
+    lambda o: o["edges"][1].__setitem__(3, False),
+    lambda o: o["edges"][1].__setitem__(0, {"id": "a"}),
+    lambda o: o["vertices"][2].__setitem__("id", {"id": "c"}),
+    lambda o: o["vertices"][0].__setitem__("id", {"id": "a"}),
+])
+def test_bool_slots_and_unhashable_ids_are_parse_errors(edit):
+    obj = _grid_doc(
+        [("a", "L", "[1,0,0,1]"), ("b", "R", "[1,0,0,1]"), ("c", "L", "[1,0,0,1]")],
+        [["a", 0, "b", 0], ["a", 1, "b", 1], ["a", 2, "b", 2]])
+    edit(obj)
+    with pytest.raises(ParseError, match="bad grid structure|not an integer"):
+        parse_grid(obj)

@@ -222,3 +222,26 @@ def test_affine_matches_edge_level_rank_on_large_grids(edges):
         grid = rand_pure_grid(rng, f, edges // 3)
         assert len(grid.edges) == edges
         assert solve_affine(TractableInstance(grid, f)) == _edge_level_count(grid, f)
+
+
+def test_affine_matches_edge_level_rank_on_unions_with_double_edges():
+    """Three random components and a doubled cycle (each f vertex joins
+    one equality vertex twice and the next once) in one 3000-edge grid,
+    in both parities: double edges and several components at scale."""
+    rng = random.Random(3000)
+    for parity in (0, 1):
+        f = _affine_sig(rng, parity)
+        k = 200
+        cycle = bipartite_grid(f, [p for i in range(k) for p in ((i, i), (i, i), (i, (i + 1) % k))])
+        grid = disjoint_union(*(rand_pure_grid(rng, f, n) for n in (100, 300, 400)), cycle)
+        assert len(grid.edges) == 3000
+        assert solve_affine(TractableInstance(grid, f)) == _edge_level_count(grid, f)
+
+
+def test_side_lists_are_built_once_in_insertion_order():
+    f = SymSig([1, 0, 1, 0])
+    grid = disjoint_union(rand_pure_grid(random.Random(1), f, 5), bipartite_grid(f, TRIPLE))
+    inst = TractableInstance(grid, f)
+    assert inst.left_ids() == grid.vertex_ids_by_side("L")
+    assert inst.right_ids() == grid.vertex_ids_by_side("R")
+    assert inst.left_ids() is inst.left_ids() and inst.right_ids() is inst.right_ids()
