@@ -37,7 +37,7 @@ from .interp import (
 )
 from .matchgates import solve_planar_moderate_cover
 from .planar import count_pm, enumerate_pm
-from .signatures import SymSig, normalize
+from .signatures import normalize
 from .tractable import TractableInstance, solve
 from .x3c import brute_force_exact_covers, count_exact_covers
 
@@ -81,18 +81,6 @@ def _check_counts(args):
             raise errors.ParseError(f"{flag} must be at least {floor}, got {value}")
 
 
-def _grid_signature(grid) -> SymSig:
-    left = [v.sig for v in grid.vertices.values()
-            if v.polarities.count("L") == len(v.polarities)]
-    # identity first: parse_grid gives the vertices of one spec one object
-    if not left or any(s is not left[0] and s != left[0] for s in left):
-        raise errors.FormatError("left side must carry exactly one signature")
-    sig = left[0]
-    if not isinstance(sig, SymSig):
-        raise errors.FormatError("left signature must be symmetric")
-    return sig
-
-
 def _evaluator_oracle(report: dict, grid, value, max_edges: int, solver: str):
     """Re-check value with the exact evaluator, unless the grid is over
     the edge cap."""
@@ -128,8 +116,7 @@ def cmd_eval(args) -> int:
 
 def cmd_solve(args) -> int:
     grid = parse_grid(_read_input(args.input))
-    f = _grid_signature(grid)
-    inst = TractableInstance(grid, f)
+    inst = TractableInstance(grid)
     value, cls = solve(inst, allow_brute_force=args.brute_force, max_edges=args.max_edges)
     report = {"value": format_scalar(value), "verdict": cls.verdict}
     if cls.matched_case:

@@ -8,8 +8,8 @@ whose value is rational, and every operation whose irrational part
 cancels, returns the Fraction instead, so no caller has to convert a
 result back or test a QuadExt for zero: `not x`, `x < 0` and `x == y`
 mean what they say on every scalar. One computation works over one
-radicand; mixing distinct radicands raises MixedRadicands instead of
-silently extending the field.
+field: radicands such as 8 and 2 mix, distinct fields raise
+MixedRadicands instead of silently extending the field.
 
 Nothing in this module ever rounds: signs are decided by comparing
 base^2 against coeff^2 * rad.
@@ -77,8 +77,8 @@ class QuadExt:
 
     QuadExt(base, coeff, rad) returns the Fraction base + coeff*sqrt(rad)
     when that is rational. Supports +, -, *, /, integer powers and exact
-    comparisons; equality compares (base, coeff, rad), so a QuadExt never
-    equals a rational.
+    comparisons; equality compares values, so sqrt(8) == 2*sqrt(2), and a
+    QuadExt never equals a rational.
     """
 
     __slots__ = ("base", "coeff", "rad")
@@ -99,15 +99,22 @@ class QuadExt:
         return (QuadExt, (self.base, self.coeff, self.rad))
 
     def _same_rad(self, other: "QuadExt") -> Fraction:
-        if self.rad != other.rad:
+        """other's coeff over our radicand r: if r*s = n/d (coprime) has
+        n*d = k^2, then sqrt(s) = (k/d)/r * sqrt(r)."""
+        if other.rad == self.rad:
+            return other.coeff
+        p = self.rad * other.rad
+        nd = p.numerator * p.denominator
+        k = isqrt(nd)
+        if k * k != nd:
             raise MixedRadicands(f"sqrt({self.rad}) vs sqrt({other.rad})")
-        return self.rad
+        return other.coeff * Fraction(k, p.denominator) / self.rad
 
     # -- field operations --
 
     def __add__(self, other):
         if isinstance(other, QuadExt):
-            return _quad(self.base + other.base, self.coeff + other.coeff, self._same_rad(other))
+            return _quad(self.base + other.base, self.coeff + self._same_rad(other), self.rad)
         if isinstance(other, (int, Fraction)):
             return _quad(self.base + other, self.coeff, self.rad)
         return NotImplemented
@@ -119,7 +126,7 @@ class QuadExt:
 
     def __sub__(self, other):
         if isinstance(other, QuadExt):
-            return _quad(self.base - other.base, self.coeff - other.coeff, self._same_rad(other))
+            return _quad(self.base - other.base, self.coeff - self._same_rad(other), self.rad)
         if isinstance(other, (int, Fraction)):
             return _quad(self.base - other, self.coeff, self.rad)
         return NotImplemented
@@ -131,9 +138,9 @@ class QuadExt:
 
     def __mul__(self, other):
         if isinstance(other, QuadExt):
-            rad = self._same_rad(other)
-            return _quad(self.base * other.base + self.coeff * other.coeff * rad,
-                         self.base * other.coeff + self.coeff * other.base, rad)
+            c, rad = self._same_rad(other), self.rad
+            return _quad(self.base * other.base + self.coeff * c * rad,
+                         self.base * c + self.coeff * other.base, rad)
         if isinstance(other, (int, Fraction)):
             return _quad(self.base * other, self.coeff * other, self.rad)
         return NotImplemented
@@ -174,13 +181,16 @@ class QuadExt:
 
     # -- order and identity --
 
+    def _key(self) -> tuple:    # coeff*sqrt(rad) is fixed by its square and sign
+        return self.base, self.coeff * self.coeff * self.rad, self.coeff > 0
+
     def __eq__(self, other):
         if isinstance(other, QuadExt):
-            return (self.base, self.coeff, self.rad) == (other.base, other.coeff, other.rad)
+            return self._key() == other._key()
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.base, self.coeff, self.rad))
+        return hash(self._key())
 
     def __lt__(self, other):
         return _positive(other - self)

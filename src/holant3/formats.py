@@ -144,7 +144,8 @@ def parse_grid(obj) -> SignatureGrid:
     """One pass over the document. Each distinct (spec, side) is parsed
     and checked once, with its signature and polarity tuple; every later
     vertex of that kind costs a duplicate-id check. An edge of str/int
-    ids and int slots goes straight onto the edge list."""
+    ids and int slots goes straight onto the edge list. The wiring is
+    checked by the grid's consumer (see SignatureGrid.validate)."""
     g = SignatureGrid()
     vertices, edges = g.vertices, g.edges
     sigs: dict = {}            # one parsed signature per distinct spec
@@ -184,7 +185,6 @@ def parse_grid(obj) -> SignatureGrid:
             g.mark_dangling((_vid(vid), _slot(slot)))
     except (KeyError, TypeError, ValueError) as e:
         raise ParseError(f"bad grid structure: {e}") from e
-    g.validate()
     return g
 
 

@@ -34,7 +34,6 @@ def build_transfer_gadget(f: SymSig) -> Gadget:
     g.add_edge(("f0", 2), ("q0", 1))
     g.mark_dangling(("f0", 0))
     g.mark_dangling(("q0", 2))
-    g.validate()
     return g
 
 
@@ -53,7 +52,6 @@ def build_transfer_chain(f: SymSig, s: int) -> Gadget:
         g.add_edge((("f", i + 1), 0), (("q", i), 2))
     g.mark_dangling((("f", 0), 0))
     g.mark_dangling((("q", s - 1), 2))
-    g.validate()
     return g
 
 
@@ -70,7 +68,6 @@ def build_double_hub_gadget(f: SymSig) -> Gadget:
         g.add_edge((("f", i), 1), (("q", 0), i))
         g.add_edge((("f", i), 2), (("q", 1), i))
         g.mark_dangling((("f", i), 0))
-    g.validate()
     return g
 
 
@@ -95,7 +92,6 @@ def build_unary_probe(f: SymSig, u: SymSig) -> Gadget:
     g.add_edge(("t1", 0), ("q1", 0))
     g.add_edge(("f0", 2), ("q1", 1))
     g.mark_dangling(("q1", 2))
-    g.validate()
     return g
 
 
@@ -174,7 +170,6 @@ def _grid_from_biadjacency(f: SymSig, matrix: tuple) -> Gadget:
         while rslot[j] < 3:
             g.mark_dangling((("q", j), rslot[j]))
             rslot[j] += 1
-    g.validate()
     return g
 
 

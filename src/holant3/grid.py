@@ -17,7 +17,9 @@ SICOMP 2008), counted in open equality classes, not edges: the table
 has at most 2^width entries, and the result is exact, never rounded.
 It refuses grids above an edge cap, and tables past MAX_LIVE_STATES
 entries. The independent checks against explicit summation over every
-edge assignment live in the test suite.
+edge assignment live in the test suite. Builders and parse_grid leave
+the wiring unchecked: SignatureGrid.validate runs once per grid, in its
+consumer (_eliminate, TractableInstance or EmbeddedGrid.validate_planar).
 """
 
 from __future__ import annotations
@@ -105,7 +107,9 @@ class SignatureGrid:
     def validate(self) -> None:
         """One pass over the edge and dangling ports; every port is then
         wired or dangling exactly when the ports used number all ports.
-        The per-port checks are written out inline: no call per port."""
+        The per-port checks are written out inline: no call per port. Run
+        once per grid by its consumer: _eliminate (holant and contract),
+        TractableInstance and EmbeddedGrid.validate_planar."""
         vertices, seen = self.vertices, set()
         add = seen.add
         for a, b in self.edges:
@@ -149,9 +153,6 @@ class SignatureGrid:
             for slot in range(v.arity):
                 if (vid, slot) not in seen:
                     raise GridStructureError(f"port ({vid!r},{slot}) neither wired nor dangling")
-
-    def vertex_ids_by_side(self, side: str) -> list:
-        return [vid for vid, v in self.vertices.items() if all(p == side for p in v.polarities)]
 
 
 Gadget = SignatureGrid
@@ -223,9 +224,9 @@ def _eliminate(grid: SignatureGrid, max_edges: int) -> list:
     variable's weight enters with its first vertex; a variable no vertex
     touches adds w0 + w1, or its weight at the output if dangling.
     """
+    grid.validate()
     if len(grid.edges) > max_edges:
         raise TooManyEdges(f"{len(grid.edges)} edges exceeds cap {max_edges}")
-    grid.validate()
     vertices = grid.vertices
     for vid, v in vertices.items():
         if not hasattr(v.sig, "value_at"):
@@ -401,8 +402,9 @@ def contract(gadget: SignatureGrid, max_edges: int = DEFAULT_EDGE_CAP):
     pattern (bit i = value on dangling port i, following the gadget's
     dangling order) and polarities lists each dangling port's side.
     """
+    values = _eliminate(gadget, max_edges)     # validates the ports read below
     pols = tuple(gadget.polarity_of(p) for p in gadget.dangling)
-    return Tensor(len(pols), _eliminate(gadget, max_edges)), pols
+    return Tensor(len(pols), values), pols
 
 
 def check_arity_mod3(gadget: SignatureGrid):
@@ -437,7 +439,6 @@ def bipartite_grid(f: SymSig, pairings: Sequence[tuple], eq: SymSig = EQ3) -> Si
         g.add_edge((("f", i), lslot[i]), (("eq", j), rslot[j]))
         lslot[i] += 1
         rslot[j] += 1
-    g.validate()
     return g
 
 
@@ -465,5 +466,4 @@ def close_with_unaries(gadget: SignatureGrid, unaries: Iterable[SymSig]) -> Sign
         g.add_vertex(vid, u, side)
         g.add_edge(port, (vid, 0))
     g.dangling = []
-    g.validate()
     return g

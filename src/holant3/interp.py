@@ -94,15 +94,11 @@ def add_placeholder_on_edge(grid: SignatureGrid, edge_index: int) -> SignatureGr
     """Splice a straddled placeholder into an existing L-R edge."""
     g = grid.copy()
     a, b = g.edges.pop(edge_index)
-    if g.polarity_of(a) == "L":
-        lport, rport = a, b
-    else:
-        lport, rport = b, a
+    lport, rport = (a, b) if g.polarity_of(a) == "L" else (b, a)
     vid = ("D", len([v for v in g.vertices if isinstance(v, tuple) and v and v[0] == "D"]))
     g.add_vertex(vid, D_PLACEHOLDER, ("L", "R"))
     g.add_edge((vid, 0), rport)   # row variable meets the R port
     g.add_edge((vid, 1), lport)   # column variable meets the L port
-    g.validate()
     return g
 
 
@@ -146,7 +142,6 @@ def substitute_placeholder_chain(grid: SignatureGrid, vid, chain) -> SignatureGr
             g.add_edge(((vid, *va), sa), ((vid, *vb), sb))
         for (cid, slot), partner in zip(chain.dangling, (row_partner, col_partner)):
             g.add_edge(((vid, *cid), slot), partner)
-    g.validate()
     return g
 
 
@@ -372,7 +367,6 @@ def split_reduction(grid: SignatureGrid, f: SymSig, g_sig, x, y) -> SplitReducti
         out.add_vertex(("gblock", block), g_sig, "R")
     for i, end in enumerate(free_ends):
         out.add_edge(end, (("gblock", i // n_arity), i % n_arity))
-    out.validate()
 
     factor = unary_closure_value(g_sig, y) ** t
     return SplitReduction(out, factor, s, plan)

@@ -106,6 +106,7 @@ class EmbeddedGrid:
         return PlanarMultigraph(list(self.grid.vertices), edges, rotation)
 
     def validate_planar(self):
+        self.grid.validate()                # as_multigraph reads every port
         if self.grid.dangling:
             raise NotPlanarInstance("embedded instances must be closed grids")
         try:

@@ -3,10 +3,12 @@
 Instances are closed grids with one ternary signature f on the whole
 left side and ternary equality on the whole right side. The first two
 solvers are linear in the grid, the affine one is one GF(2) elimination.
-Parsing, validation and the instance checks (one pass that also lists
-each side once) are linear too. The affine rank is superlinear on
-random, expander-like grids, whose rows fill in: about 4 ms, 31 ms and
-0.32 s at 3k, 9k and 30k edges (2-core Xeon VM, Python 3.11).
+Parsing and the instance checks are linear too; the wiring is validated
+once, by TractableInstance. The affine rank is superlinear on random,
+expander-like grids, whose rows fill in. Per stage at 3k / 9k / 30k
+edges (2-core Xeon VM, Python 3.11): parse_grid 5 / 18 / 67 ms,
+TractableInstance 4 / 15 / 53 ms (validate 3.4 / 12 / 48 of them),
+solve 4 / 30 / 320 ms.
 
 * degenerate f = u (x) u (x) u: every equality vertex absorbs three
   copies of u and contributes u0^3 + u1^3 = x0 + x3 independently.
@@ -24,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import HardnessRefusal, NotDegenerate, WrongCase
+from .errors import FormatError, HardnessRefusal, NotDegenerate, WrongCase
 from .dichotomy import FP, TernaryClassification, classify_ternary
 from .grid import DEFAULT_EDGE_CAP, SignatureGrid, connected_components, holant
 from .signatures import (EQ3, SymSig, affine_scale, decompose_degenerate, is_degenerate,
@@ -33,21 +35,26 @@ from .signatures import (EQ3, SymSig, affine_scale, decompose_degenerate, is_deg
 
 @dataclass(frozen=True)
 class TractableInstance:
+    """Validates the grid, then classifies its vertices in one pass. Without
+    f, f is the left side's one symmetric signature (else FormatError)."""
+
     grid: SignatureGrid
-    f: SymSig
+    f: SymSig | None = None
     _left: list = field(init=False, repr=False, compare=False)
     _right: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.f.arity != 3:
-            raise WrongCase(f"f has arity {self.f.arity}; the solvers need a ternary signature")
         self.grid.validate()
         f, left, right = self.f, [], []
         for vid, v in self.grid.vertices.items():
             pols, sig = v.polarities, v.sig
             # identity first: parse_grid gives the vertices of one spec one object
             if pols.count("L") == len(pols):
-                if sig is not f and sig != f:
+                if f is None:
+                    f = sig
+                elif sig is not f and sig != f:
+                    if self.f is None:
+                        raise FormatError("left side must carry exactly one signature")
                     raise WrongCase(f"left vertex {vid!r} does not carry f")
                 left.append(vid)
             elif pols.count("R") == len(pols):
@@ -56,8 +63,14 @@ class TractableInstance:
                 right.append(vid)
             else:
                 raise WrongCase(f"vertex {vid!r} mixes polarities")
+        if not isinstance(f, SymSig):
+            raise FormatError("left signature must be symmetric" if f is not None
+                              else "left side must carry exactly one signature")
+        if f.arity != 3:
+            raise WrongCase(f"f has arity {f.arity}; the solvers need a ternary signature")
         if self.grid.dangling:
             raise WrongCase("instance grids must be closed")
+        object.__setattr__(self, "f", f)
         object.__setattr__(self, "_left", left)
         object.__setattr__(self, "_right", right)
 

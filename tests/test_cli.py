@@ -465,6 +465,8 @@ def test_solve_treats_equal_left_specs_as_one_signature(specs, tmp_path, capsys)
 @pytest.mark.parametrize("specs, message", [
     (["[2,0,2,0]", "[2,0,2,0]", "[3,0,3,0]"], "left side must carry exactly one signature"),
     (["[2,0,2,0]", "[2,zebra,2,0]", "[2,0,2,0]"], "bad rational"),
+    ([{"arity": 3, "entries": ["2", "0", "0", "2", "0", "2", "2", "0"]}] * 3,
+     "left signature must be symmetric"),
 ])
 def test_solve_rejects_bad_left_specs(specs, message, tmp_path, capsys):
     path = _write_left_specs(tmp_path, specs)

@@ -40,6 +40,16 @@ def test_mixed_radicands_rejected():
     assert (QuadExt(5) + a) == QuadExt(5, 1, 2)
 
 
+def test_radicands_of_one_field_mix_and_compare_by_value():
+    r8, r2 = sqrt_exact(8), sqrt_exact(2)
+    assert r8 + r2 == 3 * r2 and r8 - r2 == r2
+    assert r8 * r2 == 4 and type(r8 * r2) is Fraction and r8 / r2 == 2
+    assert QuadExt(0, 2, 2) == r8 and hash(QuadExt(0, 2, 2)) == hash(r8)
+    assert len({r8, QuadExt(0, 2, 2), QuadExt(0, 4, Fraction(1, 2))}) == 1
+    assert r8 != -r8 and QuadExt(1, 2, 2) != QuadExt(0, 2, 2)
+    assert r8 > r2 and r2 < r8 and QuadExt(3, -1, 8) < QuadExt(3, -1, 2)
+
+
 def test_rational_projection():
     v = QuadExt(Fraction(7, 2))
     assert type(v) is Fraction and v == Fraction(7, 2)
@@ -194,3 +204,36 @@ def test_library_results_with_rational_value_are_fractions():
         pair.add_edge(("p", s), ("q", s))
     value = holant(pair)
     assert type(value) is Fraction and value == Fraction(8, 3)
+
+
+def _over(x, rad):
+    """(base, coeff) of x over sqrt(rad), for a radicand that is rad times
+    a rational square."""
+    if not isinstance(x, QuadExt):
+        return Fraction(x), Fraction(0)
+    ratio = x.rad / rad
+    root = Fraction(math.isqrt(ratio.numerator), math.isqrt(ratio.denominator))
+    assert root * root == ratio
+    return x.base, x.coeff * root
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(rad=st.sampled_from(RADICANDS),
+       seeds=st.lists(st.tuples(_small, _small, st.sampled_from([1, 2, Fraction(3, 2),
+                                                                  Fraction(1, 5)])),
+                      min_size=2, max_size=4),
+       steps=st.lists(st.tuples(st.sampled_from(sorted(_OPS)), st.integers(0, 63),
+                                st.integers(0, 63), st.integers(-3, 3)), max_size=12))
+def test_radicands_differing_by_a_square_factor_mix(rad, seeds, steps):
+    """Operands over rad * t^2 for several t give the values that the
+    same operands rewritten over rad give, and compare equal to them."""
+    pool = [QuadExt(b, c, rad * t * t) for b, c, t in seeds]
+    for op, i, j, e in steps:
+        x, y = pool[i % len(pool)], pool[j % len(pool)]
+        if (op == "/" and not y) or (op == "**" and not x and e < 0):
+            continue
+        z = _OPS[op](x, y, e)
+        want = _OPS[op](QuadExt(*_over(x, rad), rad), QuadExt(*_over(y, rad), rad), e)
+        assert _over(z, rad) == _over(want, rad)
+        assert z == want and hash(z) == hash(want)
+        pool.append(z)

@@ -217,8 +217,8 @@ def test_disjoint_union_multiplies():
 def test_edge_balance_of_pure_grids():
     rng = random.Random(17)
     g = rand_pure_grid(rng, SymSig([1, 1, 1, 1]), 3)
-    n_f = len(g.vertex_ids_by_side("L"))
-    n_eq = len(g.vertex_ids_by_side("R"))
+    n_f = sum(v.polarities == ("L",) * 3 for v in g.vertices.values())
+    n_eq = sum(v.polarities == ("R",) * 3 for v in g.vertices.values())
     assert len(g.edges) == 3 * n_f == 3 * n_eq
 
 

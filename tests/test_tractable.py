@@ -4,9 +4,9 @@ from fractions import Fraction
 import pytest
 
 from holant3.dichotomy import FP, classify_ternary
-from holant3.errors import HardnessRefusal, NotDegenerate, WrongCase
-from holant3.grid import bipartite_grid, disjoint_union, holant
-from holant3.signatures import EQ3, SymSig
+from holant3.errors import FormatError, HardnessRefusal, NotDegenerate, WrongCase
+from holant3.grid import SignatureGrid, bipartite_grid, disjoint_union, holant
+from holant3.signatures import EQ3, SymSig, sym_to_tensor
 from holant3.tractable import (
     TractableInstance,
     solve,
@@ -242,6 +242,22 @@ def test_side_lists_are_built_once_in_insertion_order():
     f = SymSig([1, 0, 1, 0])
     grid = disjoint_union(rand_pure_grid(random.Random(1), f, 5), bipartite_grid(f, TRIPLE))
     inst = TractableInstance(grid, f)
-    assert inst.left_ids() == grid.vertex_ids_by_side("L")
-    assert inst.right_ids() == grid.vertex_ids_by_side("R")
+    assert inst.left_ids() == [vid for vid, v in grid.vertices.items() if v.polarities[0] == "L"]
+    assert inst.right_ids() == [vid for vid, v in grid.vertices.items() if v.polarities[0] == "R"]
     assert inst.left_ids() is inst.left_ids() and inst.right_ids() is inst.right_ids()
+
+
+def test_instance_without_f_reads_it_from_the_left_side():
+    f = SymSig([3, 0, 3, 0])
+    inst = TractableInstance(bipartite_grid(f, PAIRS_2x2))
+    assert inst.f is f and solve(inst)[0] == holant(inst.grid)
+    mixed = bipartite_grid(f, PAIRS_2x2)
+    mixed.vertices[("f", 1)].sig = SymSig([1, 0, 1, 0])
+    with pytest.raises(FormatError, match="exactly one signature"):
+        TractableInstance(mixed)
+    with pytest.raises(WrongCase, match="does not carry f"):
+        TractableInstance(mixed, f)
+    with pytest.raises(FormatError, match="exactly one signature"):
+        TractableInstance(SignatureGrid())
+    with pytest.raises(FormatError, match="must be symmetric"):
+        TractableInstance(bipartite_grid(sym_to_tensor(f), PAIRS_2x2))

@@ -58,6 +58,6 @@ def test_package_brute_force_agrees():
 
 def test_grid_shape():
     g = rx3c_to_grid([[1, 2, 3]] * 3)
-    assert len(g.vertex_ids_by_side("L")) == 3   # elements
-    assert len(g.vertex_ids_by_side("R")) == 3   # sets
+    sides = [v.polarities for v in g.vertices.values()]
+    assert sides.count(("L",) * 3) == 3 and sides.count(("R",) * 3) == 3  # elements, sets
     assert len(g.edges) == 9
