@@ -27,7 +27,7 @@ from .formats import (
     parse_signature,
 )
 from .gadgets import gadget_search
-from .grid import DEFAULT_EDGE_CAP, bipartite_grid, contract, holant
+from .grid import bipartite_grid, contract, holant
 from .interp import (
     _placeholder_ids,
     add_placeholder_on_edge,
@@ -68,9 +68,9 @@ def _emit(report: dict, fmt: str):
             print(f"{key}: {value}")
 
 
-# count flags and the least value each takes; below it a search or an
-# edge cap would run vacuously
-_COUNT_FLOORS = {"occurrences": 1, "max_edges": 1, "max_f": 0, "max_eq": 0}
+# count flags and the least value each takes; below it a search or a
+# demo would run vacuously
+_COUNT_FLOORS = {"occurrences": 1, "max_f": 0, "max_eq": 0}
 
 
 def _check_counts(args):
@@ -81,13 +81,14 @@ def _check_counts(args):
             raise errors.ParseError(f"{flag} must be at least {floor}, got {value}")
 
 
-def _evaluator_oracle(report: dict, grid, value, max_edges: int, solver: str):
-    """Re-check value with the exact evaluator, unless the grid is over
-    the edge cap."""
-    if len(grid.edges) > max_edges:
-        report["oracle"] = "skipped (over edge cap)"
+def _evaluator_oracle(report: dict, grid, value, solver: str):
+    """Re-check value with the exact evaluator; skipped when the evaluator
+    refuses the grid past its live-state limit."""
+    try:
+        check = holant(grid)
+    except errors.TooManyLiveStates:
+        report["oracle"] = "skipped (over live-state limit)"
         return
-    check = holant(grid, max_edges=max_edges)
     if check != value:
         raise AssertionError(f"oracle mismatch: {solver} {value}, evaluator {check}")
     report["oracle"] = "match"
@@ -109,7 +110,7 @@ def cmd_classify(args) -> int:
 
 def cmd_eval(args) -> int:
     grid = parse_grid(_read_input(args.input))
-    value = holant(grid, max_edges=args.max_edges)
+    value = holant(grid)
     _emit({"holant": format_scalar(value)}, args.format)
     return EXIT_OK
 
@@ -117,12 +118,12 @@ def cmd_eval(args) -> int:
 def cmd_solve(args) -> int:
     grid = parse_grid(_read_input(args.input))
     inst = TractableInstance(grid)
-    value, cls = solve(inst, allow_brute_force=args.brute_force, max_edges=args.max_edges)
+    value, cls = solve(inst, allow_brute_force=args.brute_force)
     report = {"value": format_scalar(value), "verdict": cls.verdict}
     if cls.matched_case:
         report["case"] = cls.matched_case
     if args.oracle:
-        _evaluator_oracle(report, grid, value, args.max_edges, "solver")
+        _evaluator_oracle(report, grid, value, "solver")
     _emit(report, args.format)
     return EXIT_OK
 
@@ -145,14 +146,14 @@ def cmd_solve_planar_cover(args) -> int:
     value = solve_planar_moderate_cover(inst)
     report = {"cover_count": format_scalar(value)}
     if args.oracle:
-        _evaluator_oracle(report, inst.grid, value, args.max_edges, "matchgates")
+        _evaluator_oracle(report, inst.grid, value, "matchgates")
     _emit(report, args.format)
     return EXIT_OK
 
 
 def cmd_contract(args) -> int:
     gadget = parse_grid(_read_input(args.input))
-    tensor, pols = contract(gadget, max_edges=args.max_edges)
+    tensor, pols = contract(gadget)
     report = {"tensor": json.dumps(format_tensor(tensor), sort_keys=True),
               "polarities": "".join(pols)}
     if tensor.is_symmetric():
@@ -198,7 +199,7 @@ def cmd_interp_demo(args) -> int:
         "projector_params": f"x={format_scalar(jd.x)} y={format_scalar(jd.y)}",
         "occurrences": n,
     }
-    system = stratify_holant_with_d(grid, form, max_edges=args.max_edges)
+    system = stratify_holant_with_d(grid, form)
     report["nodes"] = [format_scalar(t) for t in system.nodes]
     for s, value in enumerate(system.values):
         report[f"holant_chain_{s}"] = format_scalar(value)
@@ -211,7 +212,7 @@ def cmd_interp_demo(args) -> int:
     direct = grid
     for vid in _placeholder_ids(grid):
         direct = substitute_placeholder_matrix(direct, vid, target.matrix)
-    dval = holant(direct, max_edges=args.max_edges)
+    dval = holant(direct)
     report["direct_substitution"] = format_scalar(dval)
     report["match"] = "yes" if dval == value else "NO"
     _emit(report, args.format)
@@ -229,7 +230,7 @@ def cmd_verify_identities(args) -> int:
 
 def cmd_x3c_count(args) -> int:
     sets = parse_hypergraph(_read_input(args.input))
-    value = count_exact_covers(sets, max_edges=args.max_edges)
+    value = count_exact_covers(sets)
     report = {"exact_covers": format_scalar(value)}
     if args.oracle:
         check = brute_force_exact_covers(sets)
@@ -247,13 +248,13 @@ def build_parser() -> argparse.ArgumentParser:
                     "3-regular bipartite graphs.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_input=False, max_edges=False, oracle=False):
+    def common(p, needs_input=False, unread_cap=False, oracle=False):
         if needs_input:
             p.add_argument("--input", required=True, help="path to a JSON input file")
         p.add_argument("--format", choices=["text", "json"], default="text")
-        if max_edges:
-            p.add_argument("--max-edges", type=int, default=DEFAULT_EDGE_CAP,
-                           help="edge cap of the exact evaluator")
+        if unread_cap:
+            # never read; goes when perfbench stops passing it (ROADMAP item 1)
+            p.add_argument("--max-edges", type=int, help=argparse.SUPPRESS)
         if oracle:
             p.add_argument("--oracle", action="store_true",
                            help="re-check the result against an exponential reference")
@@ -264,13 +265,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("eval", help="exact partition function of a grid")
-    common(p, needs_input=True, max_edges=True)
+    common(p, needs_input=True, unread_cap=True)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("solve", help="polynomial-time solve or refuse")
-    common(p, needs_input=True, max_edges=True, oracle=True)
+    common(p, needs_input=True, oracle=True)
     p.add_argument("--brute-force", action="store_true",
-                   help="fall back to the capped oracle on hard signatures")
+                   help="evaluate hard signatures with the exact evaluator")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("pm-count", help="weighted perfect matchings of a planar graph")
@@ -279,11 +280,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve-planar-cover",
                        help="planar one-or-two cover count via matchgates")
-    common(p, needs_input=True, max_edges=True, oracle=True)
+    common(p, needs_input=True, oracle=True)
     p.set_defaults(func=cmd_solve_planar_cover)
 
     p = sub.add_parser("contract", help="contract a gadget to its signature")
-    common(p, needs_input=True, max_edges=True)
+    common(p, needs_input=True, unread_cap=True)
     p.set_defaults(func=cmd_contract)
 
     p = sub.add_parser("search-gadget", help="bounded exhaustive gadget search")
@@ -299,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="show the interpolation system on a demo grid")
     p.add_argument("--signature", required=True)
     p.add_argument("--occurrences", type=int, default=1)
-    common(p, max_edges=True)
+    common(p, unread_cap=True)
     p.set_defaults(func=cmd_interp_demo)
 
     p = sub.add_parser("verify-identities", help="prove the case-analysis polynomial identities")
@@ -307,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify_identities)
 
     p = sub.add_parser("x3c-count", help="exact 3-cover count of a set system")
-    common(p, needs_input=True, max_edges=True, oracle=True)
+    common(p, needs_input=True, unread_cap=True, oracle=True)
     p.set_defaults(func=cmd_x3c_count)
 
     return parser

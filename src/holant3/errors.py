@@ -66,9 +66,9 @@ class ArityMismatch(HolantError):
     """Port count and signature arity disagree."""
 
 
-class TooManyEdges(HolantError):
-    """Evaluation refused: more edges than the cap, or an elimination
-    table past its live-state limit."""
+class TooManyLiveStates(HolantError):
+    """Evaluation refused: an elimination table past its live-state
+    limit (grid.MAX_LIVE_STATES), the evaluator's one refusal."""
 
 
 class NonTernaryVertex(HolantError):

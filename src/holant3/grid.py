@@ -15,8 +15,8 @@ table from the values of the open variables to exact partial sums. Its
 cost is exponential only in the width of that order (Markov & Shi,
 SICOMP 2008), counted in open equality classes, not edges: the table
 has at most 2^width entries, and the result is exact, never rounded.
-It refuses grids above an edge cap, and tables past MAX_LIVE_STATES
-entries. The independent checks against explicit summation over every
+Its one refusal is a table past MAX_LIVE_STATES entries (not a count
+of edges). The independent checks against explicit summation over every
 edge assignment live in the test suite. Builders and parse_grid leave
 the wiring unchecked: SignatureGrid.validate runs once per grid, in its
 consumer (_eliminate, TractableInstance or EmbeddedGrid.validate_planar).
@@ -36,14 +36,12 @@ from .errors import (
     GridStructureError,
     NonTernaryVertex,
     PolarityError,
-    TooManyEdges,
+    TooManyLiveStates,
 )
 from .exact import Scalar
 from .signatures import EQ3, SymSig, Tensor, is_generalized_equality
 
 Port = tuple  # (vertex id, slot index)
-
-DEFAULT_EDGE_CAP = 24
 
 # the two polarity pairs an edge may join
 _CROSSING = (("L", "R"), ("R", "L"))
@@ -102,7 +100,12 @@ class SignatureGrid:
 
     def polarity_of(self, port: Port) -> str:
         vid, slot = port
-        return self.vertices[vid].polarities[slot]
+        v = self.vertices.get(vid)
+        if v is None:
+            raise GridStructureError(f"port {port}: unknown vertex {vid!r}")
+        if not 0 <= slot < len(v.polarities):
+            raise GridStructureError(f"port {port}: slot {slot} out of range for {vid!r}")
+        return v.polarities[slot]
 
     def validate(self) -> None:
         """One pass over the edge and dangling ports; every port is then
@@ -185,7 +188,10 @@ def connected_components(vertices: Iterable, pairs: Iterable[tuple]) -> list[set
 # Table entries past which elimination refuses: about 225 MiB at the
 # ~225 bytes an entry (traced peak, old and new table together) measured
 # on dense random 90-114-edge grids, keyed by their open equality
-# classes; entries with longer values cost more.
+# classes; longer values cost more. It bounds memory, not time (2-core
+# Xeon VM, Python 3.11): seed-1 tractable_scale grids of 3000-9000 edges
+# are refused after 1.4-2.3 s, and a 240-edge strip whose table holds
+# 2^20 entries for 43 vertices finishes in 54 s at 362 MiB peak RSS.
 MAX_LIVE_STATES = 1 << 20
 
 
@@ -208,7 +214,7 @@ def _patterns(sig, shape: tuple, k: int):
     return [(q, val.numerator * (scale // val.denominator)) for q, val in pats], scale
 
 
-def _eliminate(grid: SignatureGrid, max_edges: int) -> list:
+def _eliminate(grid: SignatureGrid) -> list:
     """Values of the grid at every dangling pattern (bit i = dangling
     port i), by one elimination over equality classes.
 
@@ -225,8 +231,6 @@ def _eliminate(grid: SignatureGrid, max_edges: int) -> list:
     touches adds w0 + w1, or its weight at the output if dangling.
     """
     grid.validate()
-    if len(grid.edges) > max_edges:
-        raise TooManyEdges(f"{len(grid.edges)} edges exceeds cap {max_edges}")
     vertices = grid.vertices
     for vid, v in vertices.items():
         if not hasattr(v.sig, "value_at"):
@@ -362,8 +366,8 @@ def _eliminate(grid: SignatureGrid, max_edges: int) -> list:
                 k = key & keep | add
                 new[k] = new.get(k, 0) + acc * val
             if len(new) > MAX_LIVE_STATES:
-                raise TooManyEdges(f"elimination table reached {len(new)} live states at "
-                                   f"vertex {vid!r}, over the limit {MAX_LIVE_STATES}")
+                raise TooManyLiveStates(f"elimination table reached {len(new)} live states "
+                                        f"at vertex {vid!r}, over the limit {MAX_LIVE_STATES}")
         table = new
     spread = [(1 << bit_of[x], mask) for x, mask in ports.items() if x in bit_of]
     sums: dict = {}                         # dangling pattern -> value
@@ -383,26 +387,26 @@ def _eliminate(grid: SignatureGrid, max_edges: int) -> list:
     return values
 
 
-def holant(grid: SignatureGrid, max_edges: int = DEFAULT_EDGE_CAP) -> Scalar:
+def holant(grid: SignatureGrid) -> Scalar:
     """Exact partition function of a closed grid by elimination over its
     equality classes; the cost is exponential in the number of classes
-    open at once, not of edges. Refuses grids above max_edges edges or
-    whose table outgrows MAX_LIVE_STATES (TooManyEdges)."""
+    open at once, not in the number of edges. Refuses only a table that
+    outgrows MAX_LIVE_STATES (TooManyLiveStates)."""
     if grid.dangling:
         raise DanglingPorts(f"{len(grid.dangling)} dangling ports; contract() instead")
-    return _eliminate(grid, max_edges)[0]
+    return _eliminate(grid)[0]
 
 
-def contract(gadget: SignatureGrid, max_edges: int = DEFAULT_EDGE_CAP):
+def contract(gadget: SignatureGrid):
     """Sum out the internal edges of a gadget in one elimination pass
     over its equality classes, as holant does; the classes that hold a
-    dangling port stay open to the end.
+    dangling port stay open to the end, and the one refusal is holant's.
 
     Returns (tensor, polarities): the tensor is indexed by the dangling
     pattern (bit i = value on dangling port i, following the gadget's
     dangling order) and polarities lists each dangling port's side.
     """
-    values = _eliminate(gadget, max_edges)     # validates the ports read below
+    values = _eliminate(gadget)     # validates the ports read below
     pols = tuple(gadget.polarity_of(p) for p in gadget.dangling)
     return Tensor(len(pols), values), pols
 

@@ -41,7 +41,7 @@ from .errors import (
 )
 from .exact import Scalar
 from .gadgets import build_transfer_chain
-from .grid import DEFAULT_EDGE_CAP, SignatureGrid, holant
+from .grid import SignatureGrid, holant
 from .linalg import vandermonde_solve
 from .signatures import (
     JordanData,
@@ -192,8 +192,7 @@ class StratifiedSystem:
     projector_value: Scalar      # the all-mu stratum
 
 
-def stratify_holant_with_d(grid: SignatureGrid, f: SymSig,
-                           max_edges: int = DEFAULT_EDGE_CAP) -> StratifiedSystem:
+def stratify_holant_with_d(grid: SignatureGrid, f: SymSig) -> StratifiedSystem:
     """Evaluate the grid with every placeholder replaced by transfer
     chains of length s = 0..n and solve the Vandermonde system over the
     strata."""
@@ -210,21 +209,19 @@ def stratify_holant_with_d(grid: SignatureGrid, f: SymSig,
         g_s = grid
         for vid in d_ids:
             g_s = substitute_placeholder_chain(g_s, vid, chain)
-        values.append(holant(g_s, max_edges=max_edges))
+        values.append(holant(g_s))
 
     # D keeps the mu-eigenvector: only the all-mu stratum survives
     nodes, strata, value = _recover(values, jd.lam, jd.mu, n, 0, 1)
     return StratifiedSystem(n, jd.lam, jd.mu, nodes, tuple(values), strata, value)
 
 
-def interpolate_holant_with_d(grid: SignatureGrid, f: SymSig,
-                              max_edges: int = DEFAULT_EDGE_CAP) -> Scalar:
+def interpolate_holant_with_d(grid: SignatureGrid, f: SymSig) -> Scalar:
     """Holant of a grid whose placeholders stand for the projector D,
     recovered purely from placeholder-free evaluations."""
     if not _placeholder_ids(grid):
-        return holant(grid, max_edges=max_edges)
-    system = stratify_holant_with_d(grid, f, max_edges=max_edges)
-    return system.projector_value
+        return holant(grid)
+    return stratify_holant_with_d(grid, f).projector_value
 
 
 def _row_eigenvector(m: Mat2, eigenvalue) -> tuple:
@@ -237,8 +234,7 @@ def _row_eigenvector(m: Mat2, eigenvalue) -> tuple:
     return v
 
 
-def interpolate_unary(grid: SignatureGrid, u_vertex_ids, m: Mat2, seed: SymSig,
-                      max_edges: int = DEFAULT_EDGE_CAP) -> Scalar:
+def interpolate_unary(grid: SignatureGrid, u_vertex_ids, m: Mat2, seed: SymSig) -> Scalar:
     """Holant of a grid containing a target unary on the R side at the
     listed vertices, recovered from evaluations with seed . M^j there.
 
@@ -261,7 +257,7 @@ def interpolate_unary(grid: SignatureGrid, u_vertex_ids, m: Mat2, seed: SymSig,
     if target.arity != 1:
         raise ArityMismatch("target vertices must be unary")
     if n == 0:
-        return holant(grid, max_edges=max_edges)
+        return holant(grid)
 
     _, lam, mu = eigenvalues(m)
     if not mu:  # _recover takes a zero eigenvalue as lam
@@ -281,8 +277,7 @@ def interpolate_unary(grid: SignatureGrid, u_vertex_ids, m: Mat2, seed: SymSig,
         return g
 
     seed_row = Mat2((seed.values, (0, 0)))   # seed . M^j is row 0 of this times M^j
-    values = [holant(with_unary((seed_row * matrix_power(m, j))[0]), max_edges=max_edges)
-              for j in range(n + 1)]
+    values = [holant(with_unary((seed_row * matrix_power(m, j))[0])) for j in range(n + 1)]
     # stratum k holds alpha^k beta^(n-k) h_k; the target weighs h_k by gamma^k delta_c^(n-k)
     return _recover(values, lam, mu, n, gamma / alpha, delta_c / beta)[2]
 

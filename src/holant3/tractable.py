@@ -28,7 +28,7 @@ from fractions import Fraction
 
 from .errors import FormatError, HardnessRefusal, NotDegenerate, WrongCase
 from .dichotomy import FP, TernaryClassification, classify_ternary
-from .grid import DEFAULT_EDGE_CAP, SignatureGrid, connected_components, holant
+from .grid import SignatureGrid, connected_components, holant
 from .signatures import (EQ3, SymSig, affine_scale, decompose_degenerate, is_degenerate,
                          is_generalized_equality)
 
@@ -146,15 +146,15 @@ def solve_affine(inst: TractableInstance) -> Fraction:
 _SOLVERS = {1: solve_degenerate, 2: solve_gen_equality, 3: solve_affine}
 
 
-def solve(inst: TractableInstance, allow_brute_force: bool = False,
-          max_edges: int = DEFAULT_EDGE_CAP):
+def solve(inst: TractableInstance, allow_brute_force: bool = False):
     """Dispatch on the classification; raises HardnessRefusal on a
-    #P-hard signature unless allow_brute_force opts into the capped
-    exact evaluator (exponential in its elimination width). Returns
-    (value, classification)."""
+    #P-hard signature unless allow_brute_force opts into the exact
+    evaluator, exponential in its elimination width and refused only
+    past its live-state limit (TooManyLiveStates). Returns (value,
+    classification)."""
     cls: TernaryClassification = classify_ternary(inst.f)
     if cls.verdict == FP:
         return _SOLVERS[cls.matched_case](inst), cls
     if allow_brute_force:
-        return holant(inst.grid, max_edges=max_edges), cls
+        return holant(inst.grid), cls
     raise HardnessRefusal(cls)

@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import NotThreeRegular
-from .grid import DEFAULT_EDGE_CAP, SignatureGrid, holant
+from .grid import SignatureGrid, holant
 from .signatures import EQ3, SymSig
 
 EXACT_ONE = SymSig([0, 1, 0, 0])
@@ -51,18 +51,15 @@ def rx3c_to_grid(sets: Sequence[Sequence], element_sig: SymSig = EXACT_ONE) -> S
     return g
 
 
-def count_exact_covers(sets: Sequence[Sequence], max_edges: int = DEFAULT_EDGE_CAP) -> Fraction:
+def count_exact_covers(sets: Sequence[Sequence]) -> Fraction:
     """Number of sub-multisets of `sets` covering every element exactly once."""
-    grid = rx3c_to_grid(sets)
-    return holant(grid, max_edges=max_edges)
+    return holant(rx3c_to_grid(sets))
 
 
-def count_moderate_covers(sets: Sequence[Sequence],
-                          max_edges: int = DEFAULT_EDGE_CAP) -> Fraction:
+def count_moderate_covers(sets: Sequence[Sequence]) -> Fraction:
     """Number of hyperedge subsets covering every element once or twice
     (grid-evaluator reference for the planar pipeline)."""
-    grid = rx3c_to_grid(sets, element_sig=SymSig([0, 1, 1, 0]))
-    return holant(grid, max_edges=max_edges)
+    return holant(rx3c_to_grid(sets, element_sig=SymSig([0, 1, 1, 0])))
 
 
 def brute_force_exact_covers(sets: Sequence[Sequence]) -> Fraction:

@@ -291,7 +291,7 @@ INTERP_DEMO_JSON = [
 def test_interp_demo_json_is_pinned(args, report, capsys):
     signature, occurrences = args
     assert main(["interp-demo", "--signature", signature, "--occurrences", occurrences,
-                 "--format", "json", "--max-edges", "60"]) == 0
+                 "--format", "json"]) == 0
     assert capsys.readouterr().out == json.dumps(report, sort_keys=True) + "\n"
 
 
@@ -331,13 +331,11 @@ def test_verify_identities_takes_no_sampling_flags(flag):
     ["search-gadget", "--signature", "[0,1,1,0]", "--target", "[3,2,2,3]", "--max-eq", "-1"],
     ["interp-demo", "--signature", "[1,2,3,4]", "--occurrences", "0"],
     ["interp-demo", "--signature", "[1,2,3,4]", "--occurrences", "-2"],
-    ["eval", "--input", "g.json", "--max-edges", "0"],
-    ["x3c-count", "--input", "s.json", "--max-edges", "-3"],
 ])
 def test_out_of_range_counts_are_input_errors(argv, capsys):
     assert main(argv) == 2
     captured = capsys.readouterr()
-    flag = next(a for a in argv if a in ("--max-f", "--max-eq", "--occurrences", "--max-edges"))
+    flag = next(a for a in argv if a in ("--max-f", "--max-eq", "--occurrences"))
     assert captured.out == ""
     assert captured.err.startswith("input error:") and flag in captured.err
 
@@ -372,8 +370,6 @@ def test_main_leaves_the_digit_limit_as_it_found_it(tmp_path, capsys):
 
 
 ORACLE_COMMANDS = {"solve", "pm-count", "solve-planar-cover", "x3c-count"}
-MAX_EDGES_COMMANDS = {"eval", "solve", "solve-planar-cover", "contract", "interp-demo",
-                      "x3c-count"}
 
 
 @pytest.mark.parametrize("command", ["classify", "eval", "solve", "pm-count",
@@ -385,18 +381,41 @@ def test_each_command_takes_only_the_flags_it_reads(command, capsys):
     assert exc.value.code == 0
     usage = capsys.readouterr().out
     assert ("--oracle" in usage) == (command in ORACLE_COMMANDS)
-    assert ("--max-edges" in usage) == (command in MAX_EDGES_COMMANDS)
+    assert "--max-edges" not in usage
     assert "--workers" not in usage
 
 
 @pytest.mark.parametrize("argv", [["classify", "--signature", "[0,1,1,0]", "--oracle"],
                                   ["eval", "--input", "g.json", "--workers", "2"],
-                                  ["pm-count", "--input", "g.json", "--max-edges", "30"]])
+                                  ["pm-count", "--input", "g.json", "--max-edges", "30"],
+                                  ["solve", "--input", "g.json", "--max-edges", "30"],
+                                  ["solve-planar-cover", "--input", "g.json",
+                                   "--max-edges", "30"]])
 def test_unread_flags_are_rejected(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_max_edges_is_parsed_and_never_read(tmp_path, capsys):
+    """eval, contract, interp-demo and x3c-count still accept --max-edges,
+    and a value far below every edge count leaves stdout byte-identical."""
+    from holant3.gadgets import build_transfer_gadget
+
+    grid, gadget, sets = tmp_path / "g.json", tmp_path / "gadget.json", tmp_path / "s.json"
+    grid.write_text(json.dumps(format_grid(bipartite_grid(SymSig([1, 2, 4, 8]), PAIRS_2x2))))
+    gadget.write_text(json.dumps(format_grid(build_transfer_gadget(SymSig([1, 5, 7, 9])))))
+    sets.write_text(json.dumps({"sets": [[1, 2, 3], [1, 2, 3], [1, 2, 3]]}))
+    for argv in (["eval", "--input", str(grid)],
+                 ["contract", "--input", str(gadget)],
+                 ["interp-demo", "--signature", "[1,2,3,4]", "--occurrences", "3"],
+                 ["x3c-count", "--input", str(sets), "--oracle"]):
+        outs = []
+        for extra in ([], ["--max-edges", "1"]):
+            assert main(argv + extra) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1] and outs[0]
 
 
 def test_outputs_deterministic_across_runs(tmp_path):
@@ -426,7 +445,7 @@ def test_eval_of_1200_edge_equality_grid(tmp_path, capsys):
     components = len({root(v) for v in grid.vertices})
     path = tmp_path / "grid.json"
     path.write_text(json.dumps(format_grid(grid)))
-    assert main(["eval", "--input", str(path), "--max-edges", "2000", "--format", "json"]) == 0
+    assert main(["eval", "--input", str(path), "--format", "json"]) == 0
     assert json.loads(capsys.readouterr().out) == {"holant": str(2 ** components)}
 
 
@@ -439,10 +458,10 @@ def test_eval_past_live_state_limit_exits_4(tmp_path, capsys, monkeypatch):
     path = tmp_path / "grid.json"
     path.write_text(json.dumps(format_grid(grid)))
     monkeypatch.setattr(grid_module, "MAX_LIVE_STATES", 16)
-    assert main(["eval", "--input", str(path), "--max-edges", "42"]) == 4
+    assert main(["eval", "--input", str(path)]) == 4
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("TooManyEdges:") and "live states" in captured.err
+    assert captured.err.startswith("TooManyLiveStates:") and "live states" in captured.err
 
 
 def _write_left_specs(tmp_path, specs):
@@ -536,21 +555,29 @@ def test_unhashable_set_elements_are_input_errors(obj, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("input error:")
 
 
-def test_solve_planar_cover_oracle_skips_over_the_edge_cap(tmp_path, capsys):
-    """40 grid vertices are 60 edges, over the default cap of 24: the
-    matchgate count is reported and the oracle skipped; a raised cap
-    runs the check on 320 grid vertices."""
-    small, large = tmp_path / "small.json", tmp_path / "large.json"
-    small.write_text(json.dumps(format_embedded_grid(bead_ladder_instance(4, 40))))
-    large.write_text(json.dumps(format_embedded_grid(bead_ladder_instance(5, 320))))
-    assert main(["solve-planar-cover", "--input", str(small), "--oracle",
-                 "--format", "json"]) == 0
-    out = json.loads(capsys.readouterr().out)
-    assert out["oracle"] == "skipped (over edge cap)" and int(out["cover_count"]) > 0
-    assert main(["solve-planar-cover", "--input", str(large), "--oracle",
-                 "--max-edges", "480", "--format", "json"]) == 0
-    out = json.loads(capsys.readouterr().out)
-    assert out["oracle"] == "match" and int(out["cover_count"]) > 0
+def test_solve_planar_cover_oracle_skips_over_the_live_state_limit(tmp_path, capsys,
+                                                                  monkeypatch):
+    """At the default limit the evaluator checks 40 and 320 grid vertices
+    (60 and 480 edges). Under a limit of 16 live states it refuses the 320
+    (its table outgrows 128), and the matchgate count is still reported
+    with the oracle skipped."""
+    import holant3.grid as grid_module
+
+    paths = []
+    for seed, n in ((4, 40), (5, 320)):
+        paths.append(tmp_path / f"planar{n}.json")
+        paths[-1].write_text(json.dumps(format_embedded_grid(bead_ladder_instance(seed, n))))
+    argv = ["solve-planar-cover", "--oracle", "--format", "json", "--input"]
+    for path in paths:
+        assert main(argv + [str(path)]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["oracle"] == "match" and int(out["cover_count"]) > 0
+    monkeypatch.setattr(grid_module, "MAX_LIVE_STATES", 16)
+    assert main(argv + [str(paths[1])]) == 0
+    captured = capsys.readouterr()
+    out = json.loads(captured.out)
+    assert out["oracle"] == "skipped (over live-state limit)" and int(out["cover_count"]) > 0
+    assert captured.err == ""
 
 
 def test_eval_reads_back_a_grid_with_quadext_weights(tmp_path, capsys):

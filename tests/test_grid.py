@@ -8,7 +8,7 @@ from holant3.errors import (
     GridStructureError,
     NonTernaryVertex,
     PolarityError,
-    TooManyEdges,
+    TooManyLiveStates,
 )
 from holant3.grid import (
     SignatureGrid,
@@ -99,13 +99,13 @@ def test_same_side_edges_are_polarity_errors(edges):
 
 
 def test_dangling_rejected_and_edge_cap():
+    """holant refuses dangling ports, and no count of edges: the 27-edge
+    grid that the removed 24-edge cap refused evaluates at the default."""
     g = build_transfer_gadget(SymSig([1, 1, 1, 1]))
     with pytest.raises(DanglingPorts):
         holant(g)
     big = bipartite_grid(SymSig([1, 1, 1, 1]), [(i, i) for i in range(9) for _ in range(3)])
-    with pytest.raises(TooManyEdges):
-        holant(big, max_edges=24)
-    assert holant(big, max_edges=27) == 2 ** 9
+    assert holant(big) == 2 ** 9
 
 
 def test_arity_mod3():
@@ -122,6 +122,21 @@ def test_arity_mod3():
     bad.mark_dangling(("u", 1))
     with pytest.raises(NonTernaryVertex):
         check_arity_mod3(bad)
+
+
+@pytest.mark.parametrize("port, message", [(("z", 0), "unknown vertex 'z'"),
+                                           (("q0", 7), "slot 7 out of range for 'q0'"),
+                                           (("q0", -1), "slot -1 out of range for 'q0'")],
+                         ids=["unknown-vertex", "slot-past-arity", "negative-slot"])
+def test_polarity_of_a_port_off_the_grid_is_a_structure_error(port, message):
+    """A dangling port on an unknown vertex or past its vertex's slots is
+    reported as GridStructureError by every reader of its polarity."""
+    g = build_transfer_gadget(SymSig([1, 2, 3, 4]))
+    g.dangling[1] = port
+    for read in (g.polarity_of, lambda p: check_arity_mod3(g),
+                 lambda p: close_with_unaries(g, [SymSig([1, 1])] * 2)):
+        with pytest.raises(GridStructureError, match=message):
+            read(port)
 
 
 def _random_gadget(rng, f):
@@ -319,7 +334,7 @@ def test_long_transfer_chain_contracts_to_matrix_power():
     """A length-40 chain (119 edges) contracts in one pass to the 40th
     power of the straddled matrix."""
     f = SymSig([Fraction(1, 2), 3, -1, Fraction(5, 3)])
-    tensor, pols = contract(build_transfer_chain(f, 40), max_edges=119)
+    tensor, pols = contract(build_transfer_chain(f, 40))
     m = matrix_power(straddled_from_f(f), 40)
     assert pols == ("L", "R")
     assert (tensor.value_at(0b00), tensor.value_at(0b10),
@@ -327,12 +342,12 @@ def test_long_transfer_chain_contracts_to_matrix_power():
         m[0][0], m[0][1], m[1][0], m[1][1])
 
 
-def test_live_state_limit_refuses_with_too_many_edges(monkeypatch):
+def test_live_state_limit_refuses_with_too_many_live_states(monkeypatch):
     g = rand_pure_grid(random.Random(42), SymSig([1, 2, 3, 5]), 14)
-    assert holant(g, max_edges=42) > 0
+    assert holant(g) > 0
     monkeypatch.setattr(grid_module, "MAX_LIVE_STATES", 16)
-    with pytest.raises(TooManyEdges, match="live states"):
-        holant(g, max_edges=42)
+    with pytest.raises(TooManyLiveStates, match="live states"):
+        holant(g)
 
 
 # -- equality classes -------------------------------------------------------
@@ -468,7 +483,7 @@ def test_evaluator_equals_planar_pipeline_at_320_grid_vertices():
     each an exact evaluation past the reach of edge-keyed tables."""
     for seed in (1, 2, 3):
         inst = bead_ladder_instance(seed, 320)
-        value = holant(inst.grid, max_edges=len(inst.grid.edges))
+        value = holant(inst.grid)
         assert value != 0
         assert value == solve_planar_moderate_cover(inst)
 

@@ -100,8 +100,8 @@ def test_instance_validation():
 
 
 def test_polynomial_path_beyond_brute_force_cap():
-    """The solvers stay exact far above the oracle's edge cap; expected
-    values follow from the component product law, which the small-scale
+    """The solvers stay exact on grids of 90 edges and more, far past
+    summation over edge assignments; expected values follow from the component product law, which the small-scale
     suites verify against brute force."""
     k = 30
     # 30 disjoint triple edges, affine signature: 3 per component
