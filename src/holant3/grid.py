@@ -185,13 +185,13 @@ def connected_components(vertices: Iterable, pairs: Iterable[tuple]) -> list[set
 
 # -- evaluation -------------------------------------------------------------
 
-# Table entries past which elimination refuses: about 225 MiB at the
-# ~225 bytes an entry (traced peak, old and new table together) measured
-# on dense random 90-114-edge grids, keyed by their open equality
-# classes; longer values cost more. It bounds memory, not time (2-core
-# Xeon VM, Python 3.11): seed-1 tractable_scale grids of 3000-9000 edges
-# are refused after 1.4-2.3 s, and a 240-edge strip whose table holds
-# 2^20 entries for 43 vertices finishes in 54 s at 362 MiB peak RSS.
+# Table entries past which elimination refuses. It bounds memory, not
+# time, and the memory depends on the values (peak RSS per process,
+# 2-core Xeon VM, Python 3.11): refused holant runs on the seed-1
+# tractable_scale grids of 3000-9000 edges peak at 202-303 MiB (the
+# degenerate grids, whose values are longer, at the top) after
+# 1.4-2.3 s, and a 240-edge strip whose table holds 2^20 entries for 43
+# vertices finishes in 54 s at 362 MiB.
 MAX_LIVE_STATES = 1 << 20
 
 

@@ -16,6 +16,12 @@ the original edges. The result is a planar graph whose weighted
 perfect-matching count, times the gate scalars, equals the grid's
 partition function exactly. The input embedding is checked before
 splicing; count_pm is the one genus check on the composed graph.
+
+Each gate also carries one perfect matching of its own vertices that
+uses no stub: gate A's u-t0 and t1-t2, gate B's u-t2 and t0-t1. Their
+union is a perfect matching of the composed graph, so count_pm reads
+the Pfaffian's sign off that matching's term and runs one Pfaffian per
+component, not a second one with unit weights.
 """
 
 from __future__ import annotations
@@ -35,11 +41,13 @@ ONE_OR_TWO = SymSig([0, 1, 1, 0])
 @dataclass
 class Matchgate:
     """Planar gadget whose signature entries are weighted matching sums
-    with externally matched vertices removed."""
+    with externally matched vertices removed. matching: edge indices of
+    one perfect matching of graph, or None if it has none."""
 
     graph: PlanarMultigraph
     external: list
     scalar: Fraction = Fraction(1)
+    matching: tuple | None = None
 
 
 def matchgate_signature(mg: Matchgate) -> Tensor:
@@ -65,7 +73,7 @@ def crossing_gate() -> Matchgate:
         "t2": [(2, 0), (5, 1), (1, 1)],
     }
     g = PlanarMultigraph(["u", "t0", "t1", "t2"], edges, rotation)
-    return Matchgate(g, ["t0", "t1", "t2"], Fraction(1, 4))
+    return Matchgate(g, ["t0", "t1", "t2"], Fraction(1, 4), (3, 1))     # u-t0, t1-t2
 
 
 def equality_gate() -> Matchgate:
@@ -79,7 +87,7 @@ def equality_gate() -> Matchgate:
         "t2": [(2, 1)],
     }
     g = PlanarMultigraph(["u", "t0", "t1", "t2"], edges, rotation)
-    return Matchgate(g, ["t0", "t1", "t2"], Fraction(1))
+    return Matchgate(g, ["t0", "t1", "t2"], Fraction(1), (2, 3))        # u-t2, t0-t1
 
 
 @dataclass
@@ -122,10 +130,12 @@ def holographic_reduce(inst: EmbeddedGrid):
     (vid, name) and external k becomes (vid, k), where k is the
     position of the joined slot in the vertex's rotation.
 
-    Returns (graph, scalar) with scalar * count_pm(graph) equal to the
-    partition function of the input grid. A gate is a disk with its
-    externals on the outer face, so splicing keeps the genus that
-    validate_planar checked; count_pm checks the composed graph.
+    Returns (graph, scalar, matching) with scalar * count_pm(graph)
+    equal to the partition function of the input grid, and matching the
+    edge indices of the gates' own perfect matchings, a perfect matching
+    of graph. A gate is a disk with its externals on the outer face, so
+    splicing keeps the genus that validate_planar checked; count_pm
+    checks the composed graph.
     """
     inst.validate_planar()
     grid = inst.grid
@@ -144,7 +154,7 @@ def holographic_reduce(inst: EmbeddedGrid):
         else:
             raise WrongSignatures(f"vertex {vid!r} mixes polarities")
 
-    vertices, edges, rotation = [], [], {}
+    vertices, edges, rotation, matching = [], [], {}, []
     scalar = Fraction(1)
     for ids, gate in ((left_ids, crossing_gate()), (right_ids, equality_gate())):
         g = gate.graph
@@ -154,6 +164,7 @@ def holographic_reduce(inst: EmbeddedGrid):
             offset = len(edges)
             vertices.extend(name[v] for v in g.vertices)
             edges.extend((name[a], name[b], w) for a, b, w in g.edges)
+            matching.extend(idx + offset for idx in gate.matching)
             for v, rot in g.rotation.items():
                 rotation[name[v]] = [(idx + offset, end) for idx, end in rot]
             for t in gate.external:
@@ -167,12 +178,12 @@ def holographic_reduce(inst: EmbeddedGrid):
         rotation[ta][0] = (len(edges), 0)
         rotation[tb][0] = (len(edges), 1)
         edges.append((ta, tb, Fraction(1)))
-    return PlanarMultigraph(vertices, edges, rotation), scalar
+    return PlanarMultigraph(vertices, edges, rotation), scalar, matching
 
 
 def solve_planar_moderate_cover(inst: EmbeddedGrid) -> Fraction:
     """Count hyperedge subsets covering every vertex once or twice on a
     planar 3-uniform 3-regular instance, in polynomial time: the
     partition function of the grid via its planar matching count."""
-    graph, scalar = holographic_reduce(inst)
-    return frac(scalar * count_pm(graph))
+    graph, scalar, matching = holographic_reduce(inst)
+    return frac(scalar * count_pm(graph, matching))

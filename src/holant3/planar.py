@@ -11,22 +11,24 @@ faces once, orient the edges so that every face but one has an odd
 number of darts running against the face walk, build the signed skew
 adjacency matrix as sparse rows straight from the edges, and take its
 Pfaffian. Such an orientation gives every perfect matching the same
-sign tau, so a second Pfaffian on the same orientation with unit
-weights equals tau times the number of perfect matchings: it is 0
-exactly when there is none, and otherwise its sign is tau (negative
-weights make |Pf| alone insufficient).
+sign tau (negative weights make |Pf| alone insufficient). When the
+caller knows one perfect matching, as the matchgate splice does, tau is
+the sign of that matching's term, an O(n) permutation parity. Otherwise
+a second Pfaffian on the same orientation with unit weights equals tau
+times the number of perfect matchings: it is 0 exactly when there is
+none, and otherwise its sign is tau.
 
 pfaffian takes dense rows or {column: entry} rows and runs one sparse
 fraction-free skew elimination: only the entries where the two pivot
 rows meet are touched, so its cost follows the fill, not n^2. On
 instances grown with the test suite's bead/ladder helpers (seed 1;
-2-core Xeon VM, Python 3.11) a whole solve_planar_moderate_cover takes
-about 0.07/0.18/0.42/1.5 s at 240/480/960/1440 grid vertices, four
-matching vertices each; the dense elimination took 4.8 s at 240. Two
+2-core Xeon VM, Python 3.11.7) a whole solve_planar_moderate_cover, one
+Pfaffian, takes about 0.05/0.10/0.53 s at 240/480/960 grid vertices,
+four matching vertices each; with the unit-weight Pfaffian as well it
+took 0.08/0.23/2.2 s, and the dense elimination 4.8 s at 240. Two
 things keep this above linear: entries are Pfaffian minors, whose bit
 length grows with the eliminated block, and the fill depends on the
-vertex order (one 1920-vertex instance fills to 116 live indices and
-takes 6 s).
+vertex order (one 1920-vertex instance fills to 116 live indices).
 """
 
 from __future__ import annotations
@@ -80,22 +82,23 @@ class PlanarMultigraph:
         return PlanarMultigraph(list(self.vertices), [tuple(e) for e in self.edges],
                                 {v: list(r) for v, r in self.rotation.items()})
 
+    def edge_remap(self, removed: set) -> dict:
+        """Old index -> new index of each edge with neither end in
+        removed, in edge order: the renumbering of without_vertices."""
+        kept = (i for i, (u, v, _) in enumerate(self.edges)
+                if u not in removed and v not in removed)
+        return {i: k for k, i in enumerate(kept)}
+
     def without_vertices(self, removed) -> "PlanarMultigraph":
         removed = set(removed)
-        keep_edge = [not (self.edges[i][0] in removed or self.edges[i][1] in removed)
-                     for i in range(len(self.edges))]
-        remap = {}
-        new_edges = []
-        for i, e in enumerate(self.edges):
-            if keep_edge[i]:
-                remap[i] = len(new_edges)
-                new_edges.append(e)
+        remap = self.edge_remap(removed)
         new_rot = {}
         for v in self.vertices:
             if v in removed:
                 continue
-            new_rot[v] = [(remap[i], end) for i, end in self.rotation.get(v, []) if keep_edge[i]]
-        return PlanarMultigraph([v for v in self.vertices if v not in removed], new_edges, new_rot)
+            new_rot[v] = [(remap[i], end) for i, end in self.rotation.get(v, []) if i in remap]
+        return PlanarMultigraph([v for v in self.vertices if v not in removed],
+                                [self.edges[i] for i in remap], new_rot)
 
 
 def trace_faces(g: PlanarMultigraph) -> list[list]:
@@ -125,9 +128,9 @@ def trace_faces(g: PlanarMultigraph) -> list[list]:
     return faces
 
 
-def check_genus_zero(g: PlanarMultigraph) -> list[list]:
-    """Faces of the embedding; raises NotGenusZero unless every
-    component satisfies V - E + F = 2."""
+def check_genus_zero(g: PlanarMultigraph) -> tuple[list[list], list[set]]:
+    """Faces and connected components of the embedding; raises
+    NotGenusZero unless every component satisfies V - E + F = 2."""
     faces = trace_faces(g)
     comps = connected_components(g.vertices, ((u, v) for u, v, _ in g.edges))
     comp_of = {}
@@ -151,7 +154,7 @@ def check_genus_zero(g: PlanarMultigraph) -> list[list]:
         if v_count[ci] - e_count[ci] + f_count[ci] != 2:
             raise NotGenusZero(
                 f"component {ci}: V-E+F = {v_count[ci]}-{e_count[ci]}+{f_count[ci]} != 2")
-    return faces
+    return faces, comps
 
 
 # -- Pfaffian orientation ----------------------------------------------------
@@ -186,7 +189,7 @@ def kasteleyn_orient(g: PlanarMultigraph, outer_face: int | None = None,
     every face except one has an odd number of darts disagreeing with
     the edge direction along the face walk. Verified before returning."""
     if faces is None:
-        faces = check_genus_zero(g)
+        faces, _ = check_genus_zero(g)
     if not g.edges:
         return []
     tree = _spanning_tree(g)
@@ -253,7 +256,7 @@ def verify_kasteleyn(g: PlanarMultigraph, orientation, faces=None, outer_face=No
     """Does every face but the outer one have an odd number of darts
     running against the edge directions?"""
     if faces is None:
-        faces = check_genus_zero(g)
+        faces, _ = check_genus_zero(g)
     if outer_face is None:
         outer_face = max(range(len(faces)), key=lambda i: len(faces[i]))
     for fi, walk in enumerate(faces):
@@ -375,17 +378,25 @@ def pfaffian(matrix) -> Scalar:
 
 # -- perfect matchings -------------------------------------------------------
 
-def count_pm(g: PlanarMultigraph) -> Scalar:
-    """Exact weighted perfect-matching sum over a genus-0 multigraph."""
-    faces = check_genus_zero(g)
-    comps = connected_components(g.vertices, ((u, v) for u, v, _ in g.edges))
+def count_pm(g: PlanarMultigraph, matching=None) -> Scalar:
+    """Exact weighted perfect-matching sum over a genus-0 multigraph.
+
+    matching, when given, lists the edge indices of one perfect matching
+    of g; each component then takes its Pfaffian's sign from that
+    matching's term instead of from a unit-weight Pfaffian."""
+    faces, comps = check_genus_zero(g)
     if len(comps) == 1:
-        return _count_pm_component(g, faces)
+        return _count_pm_component(g, faces, matching)
     total: Scalar = Fraction(1)
     for comp in comps:
         # the Euler check above covered every component; each needs only its faces
-        sub = g.without_vertices(set(g.vertices) - comp)
-        total = total * _count_pm_component(sub, trace_faces(sub))
+        removed = set(g.vertices) - comp
+        sub = g.without_vertices(removed)
+        sub_matching = None
+        if matching is not None:
+            remap = g.edge_remap(removed)
+            sub_matching = [remap[i] for i in matching if i in remap]
+        total = total * _count_pm_component(sub, trace_faces(sub), sub_matching)
         if not total:
             return Fraction(0)
     return total
@@ -414,16 +425,36 @@ def enumerate_pm(g: PlanarMultigraph) -> Scalar:
     return rec(frozenset(g.vertices))
 
 
-def _count_pm_component(g: PlanarMultigraph, faces) -> Scalar:
+def matching_sign(pairs, n: int) -> int:
+    """Sign of the permutation (i1 j1 i2 j2 ...) of range(n) that lists
+    the pairs of a perfect matching: the sign of its term in a Pfaffian
+    whose entry at each (i, j) is positive. O(n), by cycle count."""
+    perm = [i for pair in pairs for i in pair]
+    if len(perm) != n or len(set(perm)) != n:
+        raise GridStructureError("matching does not cover every vertex exactly once")
+    parity = n                # n minus the number of cycles
+    seen = [False] * n
+    for start in range(n):
+        if not seen[start]:
+            parity -= 1
+            i = start
+            while not seen[i]:
+                seen[i] = True
+                i = perm[i]
+    return -1 if parity % 2 else 1
+
+
+def _count_pm_component(g: PlanarMultigraph, faces, matching=None) -> Scalar:
     """Weighted matching sum of a connected multigraph whose faces are
-    given, from two Pfaffians of sparse rows on one orientation."""
+    given, from one Pfaffian of sparse rows when a perfect matching is
+    given (edge indices) and two on one orientation when not."""
     n = len(g.vertices)
     if n % 2 == 1:
         return Fraction(0)
     orientation = kasteleyn_orient(g, faces=faces)
     index_of = {v: i for i, v in enumerate(sorted(g.vertices, key=str))}
     weighted: list = [{} for _ in range(n)]
-    unit: list = [{} for _ in range(n)]
+    arcs = []                    # (tail, head) index pair of each edge
     for idx, (u, v, w) in enumerate(g.edges):
         if w.denominator == 1:
             w = w.numerator      # int sums: no Fraction arithmetic while building
@@ -432,11 +463,19 @@ def _count_pm_component(g: PlanarMultigraph, faces) -> Scalar:
             i, j = j, i
         weighted[i][j] = weighted[i].get(j, 0) + w
         weighted[j][i] = weighted[j].get(i, 0) - w
-        unit[i][j] = unit[i].get(j, 0) + 1
-        unit[j][i] = unit[j].get(i, 0) - 1
-    # every matching carries the same sign tau, so Pf(unit) = tau * #PM
-    signed_count = pfaffian(unit)
-    if not signed_count:
-        return Fraction(0)
+        arcs.append((i, j))
+    # every matching carries the same sign tau under this orientation
+    if matching is not None:
+        tau = matching_sign((arcs[idx] for idx in matching), n)
+    else:
+        # Pf(unit) = tau * #PM, so 0 means there is no perfect matching
+        unit: list = [{} for _ in range(n)]
+        for i, j in arcs:
+            unit[i][j] = unit[i].get(j, 0) + 1
+            unit[j][i] = unit[j].get(i, 0) - 1
+        signed_count = pfaffian(unit)
+        if not signed_count:
+            return Fraction(0)
+        tau = 1 if signed_count > 0 else -1
     pf = pfaffian(weighted)
-    return pf if signed_count > 0 else -pf
+    return pf if tau > 0 else -pf

@@ -19,7 +19,16 @@ from holant3.matchgates import (
     solve_planar_moderate_cover,
 )
 from holant3.formats import format_planar_graph
-from holant3.planar import PlanarMultigraph, check_genus_zero, count_pm
+from holant3.cli import main
+from holant3.errors import GridStructureError
+from holant3.planar import (
+    PlanarMultigraph,
+    check_genus_zero,
+    count_pm,
+    kasteleyn_orient,
+    matching_sign,
+    pfaffian,
+)
 from holant3.signatures import EQ3, SymSig, hadamard_transform
 from conftest import (
     bead_expand,
@@ -137,7 +146,7 @@ def test_nonplanar_rotation_rejected():
 
 def test_scalar_accounting():
     inst = theta_chain_grid(2, ONE_OR_TWO)
-    graph, scalar = holographic_reduce(inst)
+    graph, scalar, _ = holographic_reduce(inst)
     assert scalar == Fraction(1, 16)          # (1/4)^2 left vertices
     assert scalar * count_pm(graph) == 2
     assert len(graph.vertices) == 4 * 4       # four gates of four vertices
@@ -165,18 +174,19 @@ def test_simple_triple_hypergraph_is_not_planar():
         solve_planar_moderate_cover(EmbeddedGrid(grid, rotations))
 
 
-def test_moderate_cover_disjoint_union_multiplies():
+def _disjoint_thetas():
+    """Two theta chains (2 and 4 left vertices) and their disjoint union."""
     from holant3.grid import disjoint_union
 
     a = theta_chain_grid(2, ONE_OR_TWO)
     b = theta_chain_grid(4, ONE_OR_TWO)
-    union_grid = disjoint_union(a.grid, b.grid)
-    rotations = {}
-    for vid, slots in a.rotations.items():
-        rotations[(0, vid)] = slots
-    for vid, slots in b.rotations.items():
-        rotations[(1, vid)] = slots
-    union = EmbeddedGrid(union_grid, rotations)
+    rotations = {(0, vid): slots for vid, slots in a.rotations.items()}
+    rotations.update(((1, vid), slots) for vid, slots in b.rotations.items())
+    return a, b, EmbeddedGrid(disjoint_union(a.grid, b.grid), rotations)
+
+
+def test_moderate_cover_disjoint_union_multiplies():
+    a, b, union = _disjoint_thetas()
     assert solve_planar_moderate_cover(union) == \
         solve_planar_moderate_cover(a) * solve_planar_moderate_cover(b)
 
@@ -225,7 +235,7 @@ THETA2_EDGES = [
 
 
 def test_composed_graph_is_pinned():
-    graph, scalar = holographic_reduce(theta_chain_grid(2, ONE_OR_TWO))
+    graph, scalar, _ = holographic_reduce(theta_chain_grid(2, ONE_OR_TWO))
     assert format_planar_graph(graph) == {
         "vertices": [{"id": v, "rotation": rot} for v, rot in THETA2_ROTATIONS],
         "edges": THETA2_EDGES,
@@ -233,7 +243,7 @@ def test_composed_graph_is_pinned():
     assert scalar == Fraction(1, 16) and type(scalar) is Fraction
 
     inst = random_embedded_instance(random.Random(0), ONE_OR_TWO, max_side=4)
-    graph, scalar = holographic_reduce(inst)
+    graph, scalar, _ = holographic_reduce(inst)
     text = json.dumps(format_planar_graph(graph), sort_keys=True)
     assert (len(graph.vertices), len(graph.edges)) == (32, 52)
     assert hashlib.sha256(text.encode()).hexdigest() == \
@@ -247,7 +257,7 @@ def test_spliced_gates_keep_genus_zero():
     planar: count_pm's Euler check is the only one it needs."""
     rng = random.Random(83)
     for _ in range(20):
-        graph, _ = holographic_reduce(random_embedded_instance(rng, ONE_OR_TWO, max_side=6))
+        graph, _, _ = holographic_reduce(random_embedded_instance(rng, ONE_OR_TWO, max_side=6))
         check_genus_zero(graph)
     check_genus_zero(holographic_reduce(bead_ladder_instance(7, 120))[0])
 
@@ -266,3 +276,93 @@ def test_solve_planar_cover_traces_faces_twice(monkeypatch):
     inst = theta_chain_grid(2, ONE_OR_TWO)
     assert solve_planar_moderate_cover(inst) == 2
     assert calls == [4, 16]
+
+
+def _gate_matching_instances():
+    rng = random.Random(84)
+    yield from (random_embedded_instance(rng, ONE_OR_TWO, max_side=6) for _ in range(15))
+    for n in (40, 120):
+        yield from (bead_ladder_instance(seed, n) for seed in range(8))
+
+
+def test_gate_matching_sign_equals_the_unit_pfaffian_sign():
+    """The sign count_pm reads off the gates' own matching is the sign of
+    Pf(unit) = tau * #PM, on count_pm's orientation and str-sorted index
+    order; a new index order or new gate weights must keep this."""
+    for inst in _gate_matching_instances():
+        graph, _, matching = holographic_reduce(inst)
+        faces, comps = check_genus_zero(graph)
+        assert len(comps) == 1
+        orientation = kasteleyn_orient(graph, faces=faces)
+        index_of = {v: i for i, v in enumerate(sorted(graph.vertices, key=str))}
+        arcs = []
+        for idx, (u, v, _) in enumerate(graph.edges):
+            i, j = index_of[u], index_of[v]
+            arcs.append((j, i) if orientation[idx] else (i, j))
+        n = len(graph.vertices)
+        unit = [{} for _ in range(n)]
+        for i, j in arcs:
+            unit[i][j] = unit[i].get(j, 0) + 1
+            unit[j][i] = unit[j].get(i, 0) - 1
+        signed_count = pfaffian(unit)
+        assert signed_count != 0
+        assert matching_sign([arcs[idx] for idx in matching], n) == (1 if signed_count > 0 else -1)
+
+
+def test_matching_sign_is_the_pair_permutation_parity():
+    assert matching_sign([], 0) == 1
+    assert matching_sign([(0, 1), (2, 3)], 4) == 1
+    assert matching_sign([(1, 0), (2, 3)], 4) == -1
+    assert matching_sign([(0, 2), (1, 3)], 4) == -1
+    assert matching_sign([(0, 3), (1, 2)], 4) == 1
+    for pairs in ([(0, 1)], [(0, 1), (1, 2)], [(0, 1), (2, 2)]):
+        with pytest.raises(GridStructureError):
+            matching_sign(pairs, 4)
+
+
+def test_pfaffian_runs_once_per_component_of_a_cover_solve(monkeypatch, tmp_path, capsys):
+    """solve-planar-cover hands count_pm the gate matching, so each
+    component costs one Pfaffian; pm-count knows no matching and still
+    runs two. count_pm finds the components once, in check_genus_zero."""
+    pfaffians, component_passes = [], []
+    connected_components = planar.connected_components
+
+    def counted_pfaffian(matrix):
+        pfaffians.append(len(matrix))
+        return pfaffian(matrix)
+
+    def counted_components(vertices, pairs):
+        component_passes.append(1)
+        return connected_components(vertices, pairs)
+
+    monkeypatch.setattr(planar, "pfaffian", counted_pfaffian)
+    monkeypatch.setattr(planar, "connected_components", counted_components)
+
+    assert solve_planar_moderate_cover(theta_chain_grid(2, ONE_OR_TWO)) == 2
+    assert (pfaffians, component_passes) == ([16], [1, 1])    # input embedding, composed graph
+
+    _, _, union = _disjoint_thetas()
+    pfaffians.clear()
+    component_passes.clear()
+    assert solve_planar_moderate_cover(union) == 2 * 2
+    assert (pfaffians, component_passes) == ([16, 32], [1, 1])
+
+    graph, scalar, _ = holographic_reduce(union)
+    path = tmp_path / "union.json"
+    path.write_text(json.dumps(format_planar_graph(graph)))
+    pfaffians.clear()
+    component_passes.clear()
+    assert main(["pm-count", "--input", str(path), "--format", "json"]) == 0
+    assert scalar * Fraction(json.loads(capsys.readouterr().out)["pm_count"]) == 4
+    assert (pfaffians, component_passes) == ([16, 16, 32, 32], [1])
+
+
+def test_one_pfaffian_cover_solve_equals_two_pfaffian_count_at_480_vertices():
+    """At 480 grid vertices (1920 matching vertices) the Pfaffian's cost
+    dominates; the gate-matching sign gives the value the unit-weight
+    Pfaffian's sign gives."""
+    inst = bead_ladder_instance(1, 480)
+    graph, scalar, _ = holographic_reduce(inst)
+    value = solve_planar_moderate_cover(inst)
+    assert value != 0
+    assert value == scalar * count_pm(graph)
