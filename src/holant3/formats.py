@@ -196,8 +196,11 @@ def _slot(s) -> int:
 
 
 def _vid(v):
-    # JSON renders tuple ids as lists; fold them back to hashable tuples
+    # JSON renders tuple ids as lists; fold them back to hashable tuples,
+    # a flat list of str/int ids in one step
     if isinstance(v, list):
+        if _PLAIN_IDS.issuperset(map(type, v)):
+            return tuple(v)
         return tuple(_vid(x) for x in v)
     hash(v)                   # an unhashable id raises TypeError, which callers report
     return v

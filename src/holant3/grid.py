@@ -163,23 +163,27 @@ Gadget = SignatureGrid
 
 def connected_components(vertices: Iterable, pairs: Iterable[tuple]) -> list[set]:
     """Vertex sets of the connected components of the graph whose edges
-    join each (u, v) in pairs, in order of first vertex."""
-    adj: dict = {v: set() for v in vertices}
+    join each (u, v) in pairs, in order of first vertex; searched by position."""
+    index = {v: i for i, v in enumerate(vertices)}
+    ids = list(index)
+    adj: list = [[] for _ in ids]
     for u, v in pairs:
-        adj[u].add(v)
-        adj[v].add(u)
-    comps, seen = [], set()
-    for v in adj:
-        if v in seen:
+        i, j = index[u], index[v]
+        adj[i].append(j)
+        adj[j].append(i)
+    seen = [False] * len(ids)
+    comps = []
+    for root in range(len(ids)):
+        if seen[root]:
             continue
-        comp, stack = {v}, [v]
-        while stack:
-            for n in adj[stack.pop()]:
-                if n not in comp:
-                    comp.add(n)
-                    stack.append(n)
-        seen |= comp
-        comps.append(comp)
+        seen[root] = True
+        members = [root]
+        for i in members:        # grows while it is read: a breadth-first search
+            for j in adj[i]:
+                if not seen[j]:
+                    seen[j] = True
+                    members.append(j)
+        comps.append({ids[i] for i in members})
     return comps
 
 

@@ -20,15 +20,15 @@ none, and otherwise its sign is tau.
 
 pfaffian takes dense rows or {column: entry} rows and runs one sparse
 fraction-free skew elimination: only the entries where the two pivot
-rows meet are touched, so its cost follows the fill, not n^2. On
-instances grown with the test suite's bead/ladder helpers (seed 1;
-2-core Xeon VM, Python 3.11.7) a whole solve_planar_moderate_cover, one
-Pfaffian, takes about 0.05/0.10/0.53 s at 240/480/960 grid vertices,
-four matching vertices each; with the unit-weight Pfaffian as well it
-took 0.08/0.23/2.2 s, and the dense elimination 4.8 s at 240. Two
-things keep this above linear: entries are Pfaffian minors, whose bit
-length grows with the eliminated block, and the fill depends on the
-vertex order (one 1920-vertex instance fills to 116 live indices).
+rows meet are touched, so its cost follows the fill, not n^2. The
+layers before it index darts as 2 idx + end and vertices by position.
+On the benchmark's 14-vertex covers (56 matching vertices, seed 1;
+2-core Xeon VM, Python 3.11.7) count_pm takes a median 0.66 ms: genus
+check 0.08, orientation 0.13, Pfaffian 0.28. A whole
+solve_planar_moderate_cover on the test suite's bead/ladder instances
+takes 0.03/0.10/0.53 s at 240/480/960 grid vertices. Entries are
+Pfaffian minors, whose bit length grows with the eliminated block, and
+the fill depends on the vertex order, so large sizes stay superlinear.
 """
 
 from __future__ import annotations
@@ -54,44 +54,54 @@ class PlanarMultigraph:
     rotation: dict
 
     def __post_init__(self):
-        self.edges = [(u, v, frac(w)) for u, v, w in self.edges]
+        self.edges = [(u, v, w if type(w) is Fraction else frac(w)) for u, v, w in self.edges]
         self.validate()
 
     def validate(self):
-        expected = {}
-        for idx, (u, v, _) in enumerate(self.edges):
+        """One pass over the rotations: each end (2 idx + end) is listed once,
+        at its own vertex; only a failing graph looks up the first fault."""
+        vertices, edges, rotation, m = self.vertices, self.edges, self.rotation, len(self.edges)
+        for u, v, _ in edges:
             if u == v:
                 raise GridStructureError("self-loops are not supported")
-            expected.setdefault(u, set()).add((idx, 0))
-            expected.setdefault(v, set()).add((idx, 1))
-        vset = set(self.vertices)
-        if len(vset) != len(self.vertices):
+        vset = set(vertices)
+        if len(vset) != len(vertices):
             raise GridStructureError("duplicate vertex ids")
-        for u in expected:
-            if u not in vset:
-                raise GridStructureError(f"edge endpoint {u!r} is not a vertex")
-        for v in self.vertices:
-            rot = list(self.rotation.get(v, []))
-            if set(rot) != expected.get(v, set()) or len(rot) != len(expected.get(v, set())):
-                raise GridStructureError(f"rotation at {v!r} does not list its edge-ends exactly once")
-
-    def degree(self, v) -> int:
-        return len(self.rotation.get(v, []))
-
-    def copy(self) -> "PlanarMultigraph":
-        return PlanarMultigraph(list(self.vertices), [tuple(e) for e in self.edges],
-                                {v: list(r) for v, r in self.rotation.items()})
-
-    def edge_remap(self, removed: set) -> dict:
-        """Old index -> new index of each edge with neither end in
-        removed, in edge order: the renumbering of without_vertices."""
-        kept = (i for i, (u, v, _) in enumerate(self.edges)
-                if u not in removed and v not in removed)
-        return {i: k for k, i in enumerate(kept)}
+        used = [False] * (2 * m)
+        listed = 0
+        fault = len(vertices)     # position of the first rotation listing a wrong end
+        for pos, v in enumerate(vertices):
+            rot = rotation.get(v, ())
+            for end in rot:
+                if type(end) is not tuple or len(end) != 2:
+                    break
+                idx, d = end
+                if (type(idx) is not int or type(d) is not int or not 0 <= idx < m
+                        or not 0 <= d <= 1 or edges[idx][d] != v or used[2 * idx + d]):
+                    break
+                used[2 * idx + d] = True
+            else:
+                listed += len(rot)
+                continue
+            fault = pos
+            break
+        if fault < len(vertices) or listed != 2 * m:
+            unknown = [u for e in edges for u in e[:2] if u not in vset]
+            if unknown:
+                raise GridStructureError(f"edge endpoint {unknown[0]!r} is not a vertex")
+            # an earlier vertex that lists too few ends owns an unused end
+            index = {v: i for i, v in enumerate(vertices)}
+            fault = min([fault] + [index[edges[c >> 1][c & 1]] for c in range(2 * m) if not used[c]])
+            raise GridStructureError(
+                f"rotation at {vertices[fault]!r} does not list its edge-ends exactly once")
+        if not rotation.keys() <= vset:
+            stray = next(k for k in rotation if k not in vset)
+            raise GridStructureError(f"rotation key {stray!r} names no vertex")
 
     def without_vertices(self, removed) -> "PlanarMultigraph":
         removed = set(removed)
-        remap = self.edge_remap(removed)
+        remap = {i: k for k, i in enumerate(i for i, (u, v, _) in enumerate(self.edges)
+                                            if u not in removed and v not in removed)}
         new_rot = {}
         for v in self.vertices:
             if v in removed:
@@ -101,18 +111,20 @@ class PlanarMultigraph:
                                 [self.edges[i] for i in remap], new_rot)
 
 
-def trace_faces(g: PlanarMultigraph) -> list[list]:
+def _walks(g: PlanarMultigraph) -> list[list[int]]:
     """Orbits of the next-dart permutation; each dart used exactly once.
 
-    Dart (idx, d) runs along edge idx from end d to end 1 - d; the face
-    walk arrives at end 1 - d and departs along the rotation-successor
-    of that end at its vertex. Darts and ends are coded as 2 idx + d."""
+    Dart 2 idx + d runs along edge idx from end d to end 1 - d; the face
+    walk arrives at end 1 - d (code ^ 1) and departs along the
+    rotation-successor of that end at its vertex."""
     succ = [0] * (2 * len(g.edges))      # end code -> next end code around its vertex
-    for v in g.vertices:
-        rot = g.rotation.get(v, [])
-        for i, (idx, end) in enumerate(rot):
-            nxt_idx, nxt_end = rot[(i + 1) % len(rot)]
-            succ[2 * idx + end] = 2 * nxt_idx + nxt_end
+    for rot in g.rotation.values():      # validate keys every entry to a vertex
+        if rot:
+            prev = 2 * rot[-1][0] + rot[-1][1]
+            for idx, end in rot:
+                code = 2 * idx + end
+                succ[prev] = code
+                prev = code
     faces = []
     seen = [False] * len(succ)
     for start in range(len(succ)):
@@ -122,63 +134,73 @@ def trace_faces(g: PlanarMultigraph) -> list[list]:
         dart = start
         while not seen[dart]:
             seen[dart] = True
-            walk.append((dart >> 1, dart & 1))
+            walk.append(dart)
             dart = succ[dart ^ 1]
         faces.append(walk)
     return faces
 
 
-def check_genus_zero(g: PlanarMultigraph) -> tuple[list[list], list[set]]:
-    """Faces and connected components of the embedding; raises
-    NotGenusZero unless every component satisfies V - E + F = 2."""
-    faces = trace_faces(g)
+def trace_faces(g: PlanarMultigraph) -> list[list]:
+    """Face walks as lists of darts (edge index, end)."""
+    return [[(dart >> 1, dart & 1) for dart in walk] for walk in _walks(g)]
+
+
+def check_genus_zero(g: PlanarMultigraph) -> tuple[list[list[int]], list[set]]:
+    """Face walks (as dart codes 2 idx + end) and connected components
+    of the embedding; raises NotGenusZero unless every component
+    satisfies V - E + F = 2."""
+    faces = _walks(g)
     comps = connected_components(g.vertices, ((u, v) for u, v, _ in g.edges))
-    comp_of = {}
-    for ci, comp in enumerate(comps):
-        for v in comp:
-            comp_of[v] = ci
-    v_count = [0] * len(comps)
-    e_count = [0] * len(comps)
-    f_count = [0] * len(comps)
-    for v in g.vertices:
-        v_count[comp_of[v]] += 1
-    for u, _v, _w in g.edges:
-        e_count[comp_of[u]] += 1
-    for walk in faces:
-        if walk:
-            u = g.edges[walk[0][0]][0 if walk[0][1] == 0 else 1]
-            f_count[comp_of[u]] += 1
-    for ci, comp in enumerate(comps):
-        if v_count[ci] == 1 and e_count[ci] == 0:
+    if len(comps) == 1:
+        counts = [[len(g.vertices), len(g.edges), len(faces)]]
+    else:
+        comp_of = {v: ci for ci, comp in enumerate(comps) for v in comp}
+        counts = [[len(comp), 0, 0] for comp in comps]
+        edge_comp = [comp_of[u] for u, _, _ in g.edges]
+        for ci in edge_comp:
+            counts[ci][1] += 1
+        for walk in faces:
+            counts[edge_comp[walk[0] >> 1]][2] += 1
+    for ci, (v, e, f) in enumerate(counts):
+        if v == 1 and e == 0:
             continue  # isolated vertex: one trivial face
-        if v_count[ci] - e_count[ci] + f_count[ci] != 2:
-            raise NotGenusZero(
-                f"component {ci}: V-E+F = {v_count[ci]}-{e_count[ci]}+{f_count[ci]} != 2")
+        if v - e + f != 2:
+            raise NotGenusZero(f"component {ci}: V-E+F = {v}-{e}+{f} != 2")
     return faces, comps
 
 
 # -- Pfaffian orientation ----------------------------------------------------
 
-def _spanning_tree(g: PlanarMultigraph) -> set[int]:
-    seen = set()
-    tree = set()
-    incident = {v: [] for v in g.vertices}
-    for idx, (u, v, _) in enumerate(g.edges):
-        incident[u].append(idx)
-        incident[v].append(idx)
-    for root in g.vertices:
-        if root in seen:
+def _owners(g: PlanarMultigraph) -> list[int]:
+    """Per end code, the position of its vertex among the rotation's keys."""
+    owner = [0] * (2 * len(g.edges))
+    for vi, rot in enumerate(g.rotation.values()):
+        for idx, end in rot:
+            owner[2 * idx + end] = vi
+    return owner
+
+
+def _spanning_tree(g: PlanarMultigraph) -> list[bool]:
+    """Per edge, is it in a depth-first spanning forest?"""
+    owner = _owners(g)
+    incident: list = [[] for _ in g.rotation]
+    for idx in range(len(g.edges)):
+        incident[owner[2 * idx]].append(idx)
+        incident[owner[2 * idx + 1]].append(idx)
+    seen = [False] * len(incident)
+    tree = [False] * len(g.edges)
+    for root in range(len(incident)):
+        if seen[root]:
             continue
-        seen.add(root)
+        seen[root] = True
         stack = [root]
         while stack:
             cur = stack.pop()
             for idx in incident[cur]:
-                u, v, _ = g.edges[idx]
-                nxt = v if cur == u else u
-                if nxt not in seen:
-                    seen.add(nxt)
-                    tree.add(idx)
+                nxt = owner[2 * idx] ^ owner[2 * idx + 1] ^ cur     # the edge's other end
+                if not seen[nxt]:
+                    seen[nxt] = True
+                    tree[idx] = True
                     stack.append(nxt)
     return tree
 
@@ -187,85 +209,68 @@ def kasteleyn_orient(g: PlanarMultigraph, outer_face: int | None = None,
                      faces=None) -> list[int]:
     """Direction per edge (0: as stored u->v, 1: reversed) such that
     every face except one has an odd number of darts disagreeing with
-    the edge direction along the face walk. Verified before returning."""
+    the edge direction along the face walk. faces are dart-code walks
+    as check_genus_zero returns them. Verified before returning."""
     if faces is None:
         faces, _ = check_genus_zero(g)
     if not g.edges:
         return []
     tree = _spanning_tree(g)
-    if len(tree) != len(g.vertices) - 1:
+    tree_size = sum(tree)
+    if tree_size != len(g.vertices) - 1:
         raise NotGenusZero("orientation construction expects a connected graph")
     if outer_face is None:
         outer_face = max(range(len(faces)), key=lambda i: len(faces[i]))
-    orientation: dict[int, int] = {idx: 0 for idx in tree}
-
-    face_of_dart = {}
+    face_of = [0] * (2 * len(g.edges))
     for fi, walk in enumerate(faces):
         for dart in walk:
-            face_of_dart[dart] = fi
+            face_of[dart] = fi
 
     # dual graph on non-tree edges; each such edge borders two face walks
-    dual_adj: dict[int, list] = {fi: [] for fi in range(len(faces))}
-    for idx in range(len(g.edges)):
-        if idx in tree:
-            continue
-        f0 = face_of_dart[(idx, 0)]
-        f1 = face_of_dart[(idx, 1)]
-        dual_adj[f0].append((f1, idx))
-        dual_adj[f1].append((f0, idx))
+    dual_adj: list = [[] for _ in faces]
+    for idx, in_tree in enumerate(tree):
+        if not in_tree:
+            dual_adj[face_of[2 * idx]].append(2 * idx + 1)
+            dual_adj[face_of[2 * idx + 1]].append(2 * idx)
 
-    # BFS order from the outer face over the dual tree
-    parent_edge: dict[int, int] = {}
+    # BFS from the outer face over the dual tree, entering each face by a dart on its walk
+    entry = [-1] * len(faces)
     order = [outer_face]
-    seen_faces = {outer_face}
-    qi = 0
-    while qi < len(order):
-        cur = order[qi]
-        qi += 1
-        for nxt, idx in dual_adj[cur]:
-            if nxt not in seen_faces:
-                seen_faces.add(nxt)
-                parent_edge[nxt] = idx
+    seen_faces = [False] * len(faces)
+    seen_faces[outer_face] = True
+    for cur in order:
+        for dart in dual_adj[cur]:
+            nxt = face_of[dart]
+            if not seen_faces[nxt]:
+                seen_faces[nxt] = True
+                entry[nxt] = dart
                 order.append(nxt)
 
-    for fi in reversed(order):
-        if fi == outer_face:
-            continue
-        undecided = parent_edge[fi]
-        disagree = 0
-        for idx, direction in faces[fi]:
-            if idx == undecided:
-                continue
-            if orientation[idx] != direction:
-                disagree += 1
-        # dart with direction d agrees with orientation o iff o == d
-        walk_dir = next(d for (idx, d) in faces[fi] if idx == undecided)
-        orientation[undecided] = walk_dir if disagree % 2 == 1 else 1 - walk_dir
-        # setting orientation == walk_dir keeps that dart agreeing (no extra
-        # disagreement); the opposite adds one
+    orientation = [0] * len(g.edges)     # tree edges as stored
+    for fi in reversed(order[1:]):
+        # every other edge on the walk is decided: point this one along its
+        # dart, then reverse it if the face would have an even count
+        dart = entry[fi]
+        orientation[dart >> 1] = dart & 1
+        if sum(orientation[d >> 1] != d & 1 for d in faces[fi]) % 2 == 0:
+            orientation[dart >> 1] ^= 1
 
-    if len(orientation) != len(g.edges):
+    if tree_size + len(order) - 1 != len(g.edges):
         raise NotGenusZero("dual traversal missed edges; embedding inconsistent")
-    result = [orientation[idx] for idx in range(len(g.edges))]
-    if not verify_kasteleyn(g, result, faces, outer_face):
+    if not verify_kasteleyn(g, orientation, faces, outer_face):
         raise AssertionError("constructed orientation failed the odd-face check")
-    return result
+    return orientation
 
 
 def verify_kasteleyn(g: PlanarMultigraph, orientation, faces=None, outer_face=None) -> bool:
-    """Does every face but the outer one have an odd number of darts
-    running against the edge directions?"""
+    """Does every face walk (dart codes, as check_genus_zero returns them)
+    but the outer one have an odd number of darts against the edges?"""
     if faces is None:
         faces, _ = check_genus_zero(g)
     if outer_face is None:
         outer_face = max(range(len(faces)), key=lambda i: len(faces[i]))
-    for fi, walk in enumerate(faces):
-        if fi == outer_face or not walk:
-            continue
-        disagree = sum(1 for idx, d in walk if orientation[idx] != d)
-        if disagree % 2 == 0:
-            return False
-    return True
+    return all(sum(orientation[d >> 1] != d & 1 for d in walk) % 2
+               for fi, walk in enumerate(faces) if fi != outer_face)
 
 
 # -- Pfaffian ----------------------------------------------------------------
@@ -294,8 +299,6 @@ def pfaffian(matrix) -> Scalar:
     integral = True
     for row in matrix:
         if isinstance(row, dict):
-            if not all(isinstance(j, int) and 0 <= j < n for j in row):
-                raise NotSkewSymmetric("matrix is not square")
             items = row.items()
         elif len(row) != n:
             raise NotSkewSymmetric("matrix is not square")
@@ -303,10 +306,13 @@ def pfaffian(matrix) -> Scalar:
             items = enumerate(row)
         entries = {}
         for j, v in items:
-            if isinstance(v, Fraction) and v.denominator == 1:
-                v = v.numerator
-            elif not isinstance(v, int):
-                integral = False
+            if type(j) is not int and not isinstance(j, int) or not 0 <= j < n:
+                raise NotSkewSymmetric("matrix is not square")
+            if type(v) is not int:       # exact ints skip the type tests
+                if isinstance(v, Fraction) and v.denominator == 1:
+                    v = v.numerator
+                elif not isinstance(v, int):
+                    integral = False
             if v:                # every scalar type here is falsy exactly at 0
                 entries[j] = v
         rows.append(entries)
@@ -387,16 +393,29 @@ def count_pm(g: PlanarMultigraph, matching=None) -> Scalar:
     faces, comps = check_genus_zero(g)
     if len(comps) == 1:
         return _count_pm_component(g, faces, matching)
+    # one pass buckets vertices, edges (renumbered in order), rotations,
+    # faces and the matching by component; the Euler check covered each
+    comp_of = {v: ci for ci, comp in enumerate(comps) for v in comp}
+    parts = [([], [], {}, [], []) for _ in comps]
+    renum = []                   # per edge: (component, index within it)
+    for e in g.edges:
+        ci = comp_of[e[0]]
+        renum.append((ci, len(parts[ci][1])))
+        parts[ci][1].append(e)
+    for v in g.vertices:
+        parts[comp_of[v]][0].append(v)
+    for v, rot in g.rotation.items():
+        parts[comp_of[v]][2][v] = [(renum[idx][1], end) for idx, end in rot]
+    for walk in faces:
+        parts[renum[walk[0] >> 1][0]][3].append(
+            [2 * renum[d >> 1][1] + (d & 1) for d in walk])
+    for idx in matching or ():
+        ci, k = renum[idx]
+        parts[ci][4].append(k)
     total: Scalar = Fraction(1)
-    for comp in comps:
-        # the Euler check above covered every component; each needs only its faces
-        removed = set(g.vertices) - comp
-        sub = g.without_vertices(removed)
-        sub_matching = None
-        if matching is not None:
-            remap = g.edge_remap(removed)
-            sub_matching = [remap[i] for i in matching if i in remap]
-        total = total * _count_pm_component(sub, trace_faces(sub), sub_matching)
+    for vertices, edges, rotation, walks, sub_matching in parts:
+        sub = PlanarMultigraph(vertices, edges, rotation)
+        total = total * _count_pm_component(sub, walks, None if matching is None else sub_matching)
         if not total:
             return Fraction(0)
     return total
@@ -452,13 +471,18 @@ def _count_pm_component(g: PlanarMultigraph, faces, matching=None) -> Scalar:
     if n % 2 == 1:
         return Fraction(0)
     orientation = kasteleyn_orient(g, faces=faces)
-    index_of = {v: i for i, v in enumerate(sorted(g.vertices, key=str))}
+    # Pfaffian indices in str order of the vertex ids; a connected graph
+    # of two or more vertices keys a rotation entry for each
+    ids = [str(v) for v in g.rotation]
+    order = sorted(range(n), key=ids.__getitem__)
+    index = sorted(range(n), key=order.__getitem__)     # the inverse permutation
+    owner = _owners(g)
     weighted: list = [{} for _ in range(n)]
     arcs = []                    # (tail, head) index pair of each edge
-    for idx, (u, v, w) in enumerate(g.edges):
+    for idx, (_, _, w) in enumerate(g.edges):
         if w.denominator == 1:
             w = w.numerator      # int sums: no Fraction arithmetic while building
-        i, j = index_of[u], index_of[v]
+        i, j = index[owner[2 * idx]], index[owner[2 * idx + 1]]
         if orientation[idx] == 1:
             i, j = j, i
         weighted[i][j] = weighted[i].get(j, 0) + w

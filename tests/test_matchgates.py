@@ -35,6 +35,7 @@ from conftest import (
     bead_ladder_instance,
     ladder_expand,
     random_embedded_instance,
+    random_planar_graph,
     theta_chain_grid,
 )
 
@@ -366,3 +367,66 @@ def test_one_pfaffian_cover_solve_equals_two_pfaffian_count_at_480_vertices():
     value = solve_planar_moderate_cover(inst)
     assert value != 0
     assert value == scalar * count_pm(graph)
+
+
+def _theta_union(k):
+    """k theta chains of 2 or 4 left vertices as one embedded grid, and the chains."""
+    from holant3.grid import disjoint_union
+
+    parts = [theta_chain_grid(2 + 2 * (i % 2), ONE_OR_TWO) for i in range(k)]
+    rotations = {(i, vid): slots for i, p in enumerate(parts) for vid, slots in p.rotations.items()}
+    return parts, EmbeddedGrid(disjoint_union(*(p.grid for p in parts)), rotations)
+
+
+def test_count_pm_splits_a_200_theta_union_in_one_pass(monkeypatch):
+    """Each component is cut out by one bucketing pass, not by a
+    without_vertices of the whole graph per component."""
+    parts, union = _theta_union(200)
+    graph, _, matching = holographic_reduce(union)
+    expected = Fraction(1)
+    for part in parts:
+        part_graph, _, part_matching = holographic_reduce(part)
+        expected *= count_pm(part_graph, part_matching)
+
+    def refuse(self, removed):
+        raise AssertionError("count_pm cut a component out of the whole graph")
+
+    monkeypatch.setattr(PlanarMultigraph, "without_vertices", refuse)
+    assert count_pm(graph, matching) == expected
+    assert count_pm(graph) == expected
+    assert solve_planar_moderate_cover(union) == 2 ** 200
+
+
+def test_values_do_not_depend_on_vertex_or_rotation_order():
+    rng = random.Random(85)
+    graphs = []
+    for _ in range(8):
+        inst = random_embedded_instance(rng, ONE_OR_TWO, max_side=6)
+        value = solve_planar_moderate_cover(inst)
+        grid = SignatureGrid()
+        vids = list(inst.grid.vertices)
+        rng.shuffle(vids)
+        grid.vertices = {vid: inst.grid.vertices[vid] for vid in vids}
+        grid.edges = list(inst.grid.edges)
+        rotations = dict(reversed(list(inst.rotations.items())))
+        assert solve_planar_moderate_cover(EmbeddedGrid(grid, rotations)) == value
+        graphs.append(holographic_reduce(inst)[::2])
+    graphs.extend((random_planar_graph(rng), None) for _ in range(8))
+    for graph, matching in graphs:
+        count = count_pm(graph, matching)
+        vertices, keys = list(graph.vertices), list(graph.rotation)
+        rng.shuffle(vertices)
+        rng.shuffle(keys)
+        shuffled = PlanarMultigraph(vertices, list(graph.edges),
+                                    {v: graph.rotation[v] for v in keys})
+        assert count_pm(shuffled, matching) == count
+        assert count_pm(shuffled) == count
+
+
+def test_gate_templates_stay_equal_to_fresh_gates():
+    """holographic_reduce splices the gates built at import; a solve must
+    leave them as crossing_gate() and equality_gate() build them."""
+    assert solve_planar_moderate_cover(theta_chain_grid(4, ONE_OR_TWO)) == 2
+    assert solve_planar_moderate_cover(bead_ladder_instance(2, 40)) != 0
+    assert matchgates._CROSSING == crossing_gate()
+    assert matchgates._EQUALITY == equality_gate()

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from holant3.errors import NotGenusZero, NotSkewSymmetric
+from holant3.errors import GridStructureError, NotGenusZero, NotSkewSymmetric
 from holant3.exact import QuadExt
 from holant3.planar import (
     PlanarMultigraph,
@@ -319,3 +319,35 @@ def test_pfaffian_mapping_rows_rejected_like_dense_rows():
         pfaffian([{1: 1}, {0: 1}])
     with pytest.raises(NotSkewSymmetric, match=r"entries \(0,1\) and \(1,0\)"):
         pfaffian([{1: 1}, {}])
+
+
+# Each rejection of PlanarMultigraph.validate, with its message: edges
+# 0-1 and 1-2 on vertices 0, 1, 2, correct rotations but for the fault.
+_PATH_EDGES = [(0, 1, 1), (1, 2, 1)]
+_PATH_ROT = {0: [(0, 0)], 1: [(0, 1), (1, 0)], 2: [(1, 1)]}
+
+
+@pytest.mark.parametrize("vertices, edges, rotation, message", [
+    ([0, 1], [(0, 0, 1)], {0: [(0, 0), (0, 1)], 1: []}, "self-loops are not supported"),
+    ([0, 1, 2, 1], _PATH_EDGES, _PATH_ROT, "duplicate vertex ids"),
+    ([0, 1], _PATH_EDGES, _PATH_ROT, "edge endpoint 2 is not a vertex"),
+    ([0, 1, 2], _PATH_EDGES, {**_PATH_ROT, 1: [(0, 1)]},
+     "rotation at 1 does not list its edge-ends exactly once"),
+    ([0, 1, 2], _PATH_EDGES, {**_PATH_ROT, 1: [(0, 1), (0, 1)]},
+     "rotation at 1 does not list its edge-ends exactly once"),
+    ([0, 1, 2], _PATH_EDGES, {**_PATH_ROT, 1: [(0, 1), (1, 1)], 2: [(1, 0)]},
+     "rotation at 1 does not list its edge-ends exactly once"),
+    ([0, 1, 2], _PATH_EDGES, {**_PATH_ROT, 1: [(0, 1), (2, 0)]},
+     "rotation at 1 does not list its edge-ends exactly once"),
+    ([0, 1, 2], _PATH_EDGES, {**_PATH_ROT, 1: [(0, 1), (-1, 1)]},
+     "rotation at 1 does not list its edge-ends exactly once"),
+    ([0, 1], [(0, 1, 1)], {0: [[0, 0]], 1: [(0, 1)]},
+     "rotation at 0 does not list its edge-ends exactly once"),
+    ([0, 1], [(0, 1, 1)], {0: [(0, 0)], 1: [(0, 1)], 2: []}, "rotation key 2 names no vertex"),
+], ids=["self-loop", "duplicate id", "unknown endpoint", "missing end", "end twice",
+        "another vertex's end", "edge index past the end", "negative edge index",
+        "list edge-end", "stray rotation key"])
+def test_validate_rejections_name_the_fault(vertices, edges, rotation, message):
+    with pytest.raises(GridStructureError) as err:
+        PlanarMultigraph(vertices, edges, rotation)
+    assert str(err.value) == message
