@@ -123,7 +123,10 @@ def cmd_solve(args) -> int:
     if cls.matched_case:
         report["case"] = cls.matched_case
     if args.oracle:
-        _evaluator_oracle(report, grid, value, "solver")
+        if cls.verdict == FP:
+            _evaluator_oracle(report, grid, value, "solver")
+        else:   # --brute-force: re-evaluating would compare the evaluator with itself
+            report["oracle"] = "skipped (value from the evaluator)"
     _emit(report, args.format)
     return EXIT_OK
 

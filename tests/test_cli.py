@@ -61,6 +61,36 @@ def test_solve_refusal_exit_code(tmp_path):
     assert code == 0 and "2" in out
 
 
+def test_solve_brute_force_oracle_evaluates_once(tmp_path, capsys, monkeypatch):
+    """On a #P-hard signature the value is the evaluator's, so the oracle
+    says it is skipped rather than comparing the evaluator with itself."""
+    import holant3.grid as grid_module
+
+    grid = bipartite_grid(SymSig([1, 2, 3, 5]), PAIRS_2x2)
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps(format_grid(grid)))
+    value = holant(grid)
+    calls = {"validate": 0, "eliminate": 0}
+    validate, eliminate = grid_module.SignatureGrid.validate, grid_module._eliminate
+
+    def counted_validate(self):
+        calls["validate"] += 1
+        return validate(self)
+
+    def counted_eliminate(g):
+        calls["eliminate"] += 1
+        return eliminate(g)
+
+    monkeypatch.setattr(grid_module.SignatureGrid, "validate", counted_validate)
+    monkeypatch.setattr(grid_module, "_eliminate", counted_eliminate)
+    assert main(["solve", "--input", str(path), "--brute-force", "--oracle",
+                 "--format", "json"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["oracle"] == "skipped (value from the evaluator)"
+    assert out["value"] == str(value) and out["verdict"] == "#P-hard"
+    assert calls == {"validate": 2, "eliminate": 1}
+
+
 def test_missing_file_is_input_error():
     code, _, err = run_cli(["eval", "--input", "/does/not/exist.json"])
     assert code == 2

@@ -74,7 +74,7 @@ def test_gadget_search_finds_double_hub_for_3223():
     found = gadget_search(SymSig([0, 1, 1, 0]), SymSig([3, 2, 2, 3]), max_f=3, max_eq=2)
     assert found is not None
     got, pols = contract(found)
-    assert all(p == "L" for p in pols)
+    assert pols == ("L", "L", "L")
     assert got.to_symmetric() == SymSig([3, 2, 2, 3])
 
 
@@ -96,7 +96,8 @@ def test_gadget_search_ternary_candidate_for_0120():
     assert gadget_search(SymSig([0, 1, b, 0]), target, max_f=3, max_eq=2) is None
     found = gadget_search(SymSig([0, 1, b, 0]), target, max_f=4, max_eq=3)
     assert found is not None
-    got, _ = contract(found)
+    got, pols = contract(found)
+    assert pols == ("L", "L", "L")
     assert got.to_symmetric() == target
 
 
@@ -155,6 +156,57 @@ def test_biadjacency_matrices_yield_each_orbit_lexmin_once(n_f):
                 assert not orbit & covered, (n_f, n_eq, total, rep)
                 covered |= orbit
             assert covered == by_total.get(total, set()), (n_f, n_eq, total)
+
+
+def _reference_canonical_biadjacency(matrix: tuple) -> tuple:
+    """The least of the sorted rows over all column permutations."""
+    n_cols = len(matrix[0]) if matrix else 0
+    return min(tuple(sorted(tuple(row[j] for j in cp) for row in matrix))
+               for cp in permutations(range(n_cols)))
+
+
+def _reference_biadjacency_matrices(n_f: int, n_eq: int, total: int):
+    """The search on row tuples, with a list of column budgets and one
+    canonical form per nonincreasing row sequence."""
+    seen = set()
+    col_budget = [3] * n_eq
+    candidates = [(row, sum(row)) for row in product(range(4), repeat=n_eq)
+                  if sum(row) <= 3]
+
+    def rows(i: int, remaining: int, acc: list):
+        if i == n_f:
+            if remaining == 0:
+                canon = _reference_canonical_biadjacency(tuple(acc))
+                if canon not in seen:
+                    seen.add(canon)
+                    yield canon
+            return
+        for row, row_sum in candidates:
+            if acc and row > acc[-1]:
+                break
+            if (row_sum > remaining or remaining - row_sum > 3 * (n_f - 1 - i)
+                    or any(v > b for v, b in zip(row, col_budget))):
+                continue
+            for j, v in enumerate(row):
+                col_budget[j] -= v
+            acc.append(row)
+            yield from rows(i + 1, remaining - row_sum, acc)
+            acc.pop()
+            for j, v in enumerate(row):
+                col_budget[j] += v
+
+    yield from rows(0, total, [])
+
+
+@pytest.mark.parametrize("n_f", range(6))
+def test_biadjacency_matrices_keep_the_reference_order(n_f):
+    """The order decides gadget_search's first hit, so the search yields
+    the reference's representatives in the reference's order."""
+    for n_eq in range(5):
+        for total in range(3 * min(n_f, n_eq) + 2):
+            assert (list(_biadjacency_matrices(n_f, n_eq, total))
+                    == list(_reference_biadjacency_matrices(n_f, n_eq, total))), \
+                (n_f, n_eq, total)
 
 
 @pytest.mark.parametrize("polarities, error", [
