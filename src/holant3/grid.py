@@ -6,20 +6,20 @@ are first-class: a port is identified by (vertex, slot). Grids with a
 nonempty ordered dangling list are gadgets; contraction sums out the
 internal edges and leaves a tensor over the dangling ports.
 
-The evaluator first folds the equality-type vertices ([a,0,...,0,b],
-EQ3 among them) into variables: a variable is a class of edges and
-dangling ports that such vertices force equal, weighted by their a and
-b. It then eliminates the other vertices one at a time in a greedy
-order (most variables closed, then fewest opened), keeping a sparse
-table from the values of the open variables to exact partial sums. Its
-cost is exponential only in the width of that order (Markov & Shi,
-SICOMP 2008), counted in open equality classes, not edges: the table
-has at most 2^width entries, and the result is exact, never rounded.
-Its one refusal is a table past MAX_LIVE_STATES entries (not a count
-of edges). The independent checks against explicit summation over every
-edge assignment live in the test suite. Builders and parse_grid leave
-the wiring unchecked: SignatureGrid.validate runs once per grid, in its
-consumer (_eliminate, TractableInstance or EmbeddedGrid.validate_planar).
+The evaluator folds, orders, then sweeps. The fold reads the wiring that
+SignatureGrid.validate returns and joins the wires (edges and dangling
+ports) that equality-type vertices ([a,0,...,0,b], EQ3 among them) force
+equal into variables, weighted by those a and b. _greedy_order orders the
+other vertices (most variables closed, then fewest opened), and the sweep
+absorbs them in that order into a sparse table from the values of the open
+variables to exact partial sums. Its cost is exponential only in the width
+of that order (Markov & Shi, SICOMP 2008), counted in open equality
+classes, not edges: the table has at most 2^width entries, and the result
+is exact, never rounded. Its one refusal is a table past MAX_LIVE_STATES
+entries (not a count of edges). The independent checks against explicit
+summation over every edge assignment live in the test suite. Builders and
+parse_grid leave the wiring unchecked: validate runs once per grid, in its
+consumer (_eliminate, TractableInstance or EmbeddedGrid.as_multigraph).
 """
 
 from __future__ import annotations
@@ -107,15 +107,15 @@ class SignatureGrid:
             raise GridStructureError(f"port {port}: slot {slot} out of range for {vid!r}")
         return v.polarities[slot]
 
-    def validate(self) -> None:
-        """One pass over the edge and dangling ports; every port is then
-        wired or dangling exactly when the ports used number all ports.
-        The per-port checks are written out inline: no call per port. Run
-        once per grid by its consumer: _eliminate (holant and contract),
-        TractableInstance and EmbeddedGrid.validate_planar."""
-        vertices, seen = self.vertices, set()
-        add = seen.add
-        for a, b in self.edges:
+    def validate(self) -> dict:
+        """One pass over the edge and dangling ports; every port is then wired
+        or dangling exactly when the ports used number all ports. The per-port
+        checks are written out inline: no call per port. Run once per grid by
+        its consumer: _eliminate (holant and contract), TractableInstance and
+        EmbeddedGrid.as_multigraph. Returns the wiring it builds, port -> wire:
+        the port's edge index, or m + i for dangling port i (m edges)."""
+        vertices, wire = self.vertices, {}
+        for i, (a, b) in enumerate(self.edges):
             vid, slot = a
             v = vertices.get(vid)
             if v is None:
@@ -123,9 +123,9 @@ class SignatureGrid:
             pols = v.polarities
             if not 0 <= slot < len(pols):
                 raise GridStructureError(f"edge: slot {slot} out of range for {vid!r}")
-            if a in seen:
+            if a in wire:
                 raise GridStructureError(f"edge: port {a} used twice")
-            add(a)
+            wire[a] = i
             pa = pols[slot]
             vid, slot = b
             v = vertices.get(vid)
@@ -134,27 +134,27 @@ class SignatureGrid:
             pols = v.polarities
             if not 0 <= slot < len(pols):
                 raise GridStructureError(f"edge: slot {slot} out of range for {vid!r}")
-            if b in seen:
+            if b in wire:
                 raise GridStructureError(f"edge: port {b} used twice")
-            add(b)
+            wire[b] = i
             pb = pols[slot]
             if (pa, pb) not in _CROSSING:
                 raise PolarityError(f"edge {a}-{b} joins {pa} to {pb}")
-        for p in self.dangling:
+        for i, p in enumerate(self.dangling, len(self.edges)):
             vid, slot = p
             v = vertices.get(vid)
             if v is None:
                 raise GridStructureError(f"dangling: unknown vertex {vid!r}")
             if not 0 <= slot < len(v.polarities):
                 raise GridStructureError(f"dangling: slot {slot} out of range for {vid!r}")
-            if p in seen:
+            if p in wire:
                 raise GridStructureError(f"dangling: port {p} used twice")
-            add(p)
-        if len(seen) == sum(len(v.polarities) for v in vertices.values()):
-            return
+            wire[p] = i
+        if len(wire) == sum(len(v.polarities) for v in vertices.values()):
+            return wire
         for vid, v in vertices.items():
             for slot in range(v.arity):
-                if (vid, slot) not in seen:
+                if (vid, slot) not in wire:
                     raise GridStructureError(f"port ({vid!r},{slot}) neither wired nor dangling")
 
 
@@ -218,6 +218,35 @@ def _patterns(sig, shape: tuple, k: int):
     return [(q, val.numerator * (scale // val.denominator)) for q, val in pats], scale
 
 
+def _greedy_order(variables: list, touching: dict, left: dict) -> list:
+    """Factor positions in absorption order: next the factor of least key
+    (-variables it closes, variables it opens, position), off a heap that
+    skips stale keys. variables[i] lists factor i's variables, touching[x]
+    the factors on x, and left[x] counts them (+1 if x dangles)."""
+    left, seen, done = dict(left), set(), {}   # done: absorbed, in order; seen: their variables
+    rank = [[0, sum(1 for x in xs if left[x] > 1), i] for i, xs in enumerate(variables)]
+    heap = [tuple(r) for r in rank]
+    heapq.heapify(heap)
+    while heap:
+        entry = heapq.heappop(heap)
+        i = entry[2]
+        if i in done or list(entry) != rank[i]:
+            continue                                           # absorbed, or a stale key
+        done[i] = None
+        for x in variables[i]:
+            left[x] -= 1
+            opens, closes = x not in seen and left[x] > 0, left[x] == 1
+            seen.add(x)
+            if opens or closes:                                # x's factors' keys change
+                for u in touching[x]:
+                    if u not in done:
+                        r = rank[u]
+                        r[0] -= closes                         # a bool counts 0 or 1
+                        r[1] -= opens
+                        heapq.heappush(heap, tuple(r))
+    return list(done)
+
+
 def _eliminate(grid: SignatureGrid) -> list:
     """Values of the grid at every dangling pattern (bit i = dangling
     port i), by one elimination over equality classes.
@@ -234,16 +263,10 @@ def _eliminate(grid: SignatureGrid) -> list:
     variable's weight enters with its first vertex; a variable no vertex
     touches adds w0 + w1, or its weight at the output if dangling.
     """
-    grid.validate()
+    wire = grid.validate()
     vertices = grid.vertices
-    for vid, v in vertices.items():
-        if not hasattr(v.sig, "value_at"):
-            raise ArityMismatch(f"vertex {vid!r} carries a non-evaluable signature {v.sig!r}")
     m, d = len(grid.edges), len(grid.dangling)
-    var_of = {p: m + i for i, p in enumerate(grid.dangling)}   # port -> edge or dangling index
-    for i, (a, b) in enumerate(grid.edges):
-        var_of[a] = var_of[b] = i
-    parent = list(range(m + d))                                # union-find over those indices
+    parent = list(range(m + d))                                # union-find over the wires
 
     def find(x):
         while parent[x] != x:
@@ -253,19 +276,21 @@ def _eliminate(grid: SignatureGrid) -> list:
     factors, equalities = [], []
     for vid, v in vertices.items():
         if not _is_equality(v.sig):
+            if not hasattr(v.sig, "value_at"):
+                raise ArityMismatch(f"vertex {vid!r} carries a non-evaluable signature {v.sig!r}")
             factors.append(vid)
             continue
         equalities.append(vid)
-        r = find(var_of[(vid, 0)])
+        r = find(wire[vid, 0])
         for s in range(1, v.arity):
-            x = find(var_of[(vid, s)])
+            x = find(wire[vid, s])
             if x != r:
                 parent[x] = r
     weight = {}                                                # variable -> [w0, w1] if not [1, 1]
     for vid in equalities:
         a, b = vertices[vid].sig.values[0], vertices[vid].sig.values[-1]
         if a != 1 or b != 1:
-            w = weight.setdefault(find(var_of[(vid, 0)]), [1, 1])
+            w = weight.setdefault(find(wire[vid, 0]), [1, 1])
             w[0] *= a
             w[1] *= b
     den = 1
@@ -274,15 +299,15 @@ def _eliminate(grid: SignatureGrid) -> list:
             scale = lcm(*(y.denominator for y in w))
             w[:] = [y.numerator * (scale // y.denominator) for y in w]
             den *= scale
-    # per factor vertex, its variables in slot order and the variable of each slot
-    shapes, touching, left = [], {}, {}     # left: vertices still to absorb (+1 if dangling)
-    for vid in factors:
+    # per factor, its variables in slot order and the variable of each slot
+    shapes, touching, left = [], {}, {}     # left: factors still to absorb (+1 if dangling)
+    for i, vid in enumerate(factors):
         order: dict = {}
-        shape = tuple(order.setdefault(find(var_of[(vid, s)]), len(order))
+        shape = tuple(order.setdefault(find(wire[vid, s]), len(order))
                       for s in range(vertices[vid].arity))
         shapes.append((list(order), shape))
         for x in order:
-            touching.setdefault(x, []).append(vid)
+            touching.setdefault(x, []).append(i)
             left[x] = left.get(x, 0) + 1
     ports: dict = {}                        # dangling variable -> mask of its dangling ports
     for i in range(d):
@@ -294,21 +319,11 @@ def _eliminate(grid: SignatureGrid) -> list:
     for x in {find(i) for i in range(m + d)} - left.keys():
         w = weight.get(x, (1, 1))
         const *= w[0] + w[1]
-    # greedy order by heap key (-variables closed, variables opened, insertion index)
-    rank = {vid: [0, sum(1 for x in shapes[i][0] if left[x] > 1), i]
-            for i, vid in enumerate(factors)}
-    heap = [tuple(r) for r in rank.values()]
-    heapq.heapify(heap)
     cache: dict = {}
     bit_of, free = {}, []                   # open variable -> key bit; free bits
     table = {0: 1}
-    while heap and table:
-        entry = heapq.heappop(heap)
-        i = entry[2]
+    for i in _greedy_order([xs for xs, _ in shapes], touching, left):
         vid = factors[i]
-        if vid not in rank or list(entry) != rank[vid]:
-            continue                                           # absorbed, or a stale key
-        del rank[vid]
         sig = vertices[vid].sig
         order, shape = shapes[i]
         cached = cache.get((id(sig), shape))
@@ -319,36 +334,22 @@ def _eliminate(grid: SignatureGrid) -> list:
         roles, mask = [], 0                 # per variable: (bit needed, bit added, weight)
         for x in order:
             left[x] -= 1
-            n = left[x]
             b = bit_of.get(x)
-            if b is None and not n:                            # only this vertex touches it
+            if b is None and not left[x]:                      # only this vertex touches it
                 roles.append((0, 0, weight.get(x)))
                 continue
             if b is None:                                      # open it
                 # the bits in use and the free ones are 0..k-1, so with none free k = len(bit_of)
                 b = bit_of[x] = heapq.heappop(free) if free else len(bit_of)
                 roles.append((0, 1 << b, weight.get(x)))
-                for u in touching[x]:                          # no longer opens x; the last closes it
-                    r = rank.get(u)
-                    if r is not None:
-                        r[1] -= 1
-                        if n == 1:
-                            r[0] -= 1
-                        heapq.heappush(heap, tuple(r))
                 continue
             mask |= 1 << b
-            if not n:                                          # close it
+            if not left[x]:                                    # close it
                 roles.append((1 << b, 0, None))
                 del bit_of[x]
                 heapq.heappush(free, b)
                 continue
             roles.append((1 << b, 1 << b, None))               # check it, keep it open
-            if n == 1:                                         # the last vertex on x closes it
-                for u in touching[x]:
-                    r = rank.get(u)
-                    if r is not None:
-                        r[0] -= 1
-                        heapq.heappush(heap, tuple(r))
         groups: dict = {}                   # bits needed on the open variables -> extensions
         weighted = any(w for _, _, w in roles)
         for q, val in pats:

@@ -12,10 +12,10 @@ both are realizable as weighted planar matchgates:
 holographic_reduce splices a copy of crossing_gate (gate A) or
 equality_gate (gate B), the one definition of each, for every vertex of
 an embedded 3-regular bipartite grid and joins the external stubs along
-the original edges. The result is a planar graph whose weighted
-perfect-matching count, times the gate scalars, equals the grid's
-partition function exactly. The input embedding is checked before
-splicing; count_pm is the one genus check on the composed graph.
+the original edges, read off the checked input embedding. The result is
+a planar graph whose weighted perfect-matching count, times the gate
+scalars, equals the grid's partition function exactly. count_pm is the
+one genus check on the composed graph.
 
 Each gate also carries one perfect matching of its own vertices that
 uses no stub: gate A's u-t0 and t1-t2, gate B's u-t2 and t0-t1. Their
@@ -105,36 +105,36 @@ class EmbeddedGrid:
     rotations: dict
 
     def as_multigraph(self) -> PlanarMultigraph:
-        edges = []
-        end_of_port = {}
-        for idx, (a, b) in enumerate(self.grid.edges):
-            edges.append((a[0], b[0], Fraction(1)))
-            end_of_port[a] = (idx, 0)
-            end_of_port[b] = (idx, 1)
+        """Validate the closed grid; read each rotation slot's edge end off its wiring."""
+        wire = self.grid.validate()
+        if self.grid.dangling:
+            raise NotPlanarInstance("embedded instances must be closed grids")
         rotation = {}
         for vid, v in self.grid.vertices.items():
             slots = self.rotations.get(vid)
             if slots is None or sorted(slots) != list(range(v.arity)):
                 raise NotPlanarInstance(f"vertex {vid!r} lacks a full slot rotation")
-            rotation[vid] = [end_of_port[(vid, s)] for s in slots]
+            ports = [(vid, s) for s in slots]
+            rotation[vid] = [(wire[p], self.grid.edges[wire[p]].index(p)) for p in ports]
+        edges = [(a[0], b[0], Fraction(1)) for a, b in self.grid.edges]
         return PlanarMultigraph(list(self.grid.vertices), edges, rotation)
 
-    def validate_planar(self):
-        self.grid.validate()                # as_multigraph reads every port
-        if self.grid.dangling:
-            raise NotPlanarInstance("embedded instances must be closed grids")
+    def validate_planar(self) -> PlanarMultigraph:
+        graph = self.as_multigraph()
         try:
-            check_genus_zero(self.as_multigraph())
+            check_genus_zero(graph)
         except NotGenusZero as e:
             raise NotPlanarInstance(str(e)) from e
+        return graph
 
 
 def holographic_reduce(inst: EmbeddedGrid):
     """Splice a copy of gate A for each [0,1,1,0] vertex and of gate B
-    for each equality vertex, and join the external stubs along the
-    original edges with weight-1 edges. Gate vertex name becomes
-    (vid, name) and external k becomes (vid, k), where k is the
-    position of the joined slot in the vertex's rotation.
+    for each equality vertex, and join the external stubs with weight-1
+    edges along the original edges, read off the multigraph
+    validate_planar returns. Gate vertex name becomes (vid, name) and
+    external k becomes (vid, k), where k is the position of the joined
+    slot in the vertex's rotation.
 
     Returns (graph, scalar, matching) with scalar * count_pm(graph)
     equal to the partition function of the input grid, and matching the
@@ -143,7 +143,7 @@ def holographic_reduce(inst: EmbeddedGrid):
     splicing keeps the genus that validate_planar checked; count_pm
     checks the composed graph.
     """
-    inst.validate_planar()
+    embedding = inst.validate_planar()
     grid = inst.grid
     left_ids, right_ids = [], []
     for vid, v in grid.vertices.items():
@@ -163,7 +163,7 @@ def holographic_reduce(inst: EmbeddedGrid):
 
     vertices, edges, rotation, matching = [], [], {}, []
     scalar = Fraction(1)
-    stubs = {}                   # grid port -> (external's name, its rotation)
+    stubs = [[None, None] for _ in grid.edges]   # per edge end: (external's name, its rotation)
     for ids, gate in ((left_ids, _CROSSING), (right_ids, _EQUALITY)):
         g = gate.graph
         # the gate by vertex position: external k is keyed k, the rest by name
@@ -180,10 +180,9 @@ def holographic_reduce(inst: EmbeddedGrid):
             matching.extend([idx + offset for idx in gate.matching])
             rots = [[(idx + offset, end) for idx, end in g.rotation[v]] for v in g.vertices]
             rotation.update(zip(names, rots))
-            for slot, p in zip(inst.rotations[vid], externals):
-                stubs[vid, slot] = names[p], rots[p]
-    for a, b in grid.edges:
-        (ta, rot_a), (tb, rot_b) = stubs[a], stubs[b]
+            for (idx, end), p in zip(embedding.rotation[vid], externals):
+                stubs[idx][end] = names[p], rots[p]
+    for (ta, rot_a), (tb, rot_b) in stubs:
         rot_a.insert(0, (len(edges), 0))        # the stub leads each external's rotation
         rot_b.insert(0, (len(edges), 1))
         edges.append((ta, tb, Fraction(1)))

@@ -292,6 +292,30 @@ def _random_mixed_grid(rng):
     return g
 
 
+def test_validate_returns_the_wiring():
+    """validate maps both ends of edge i to i and dangling port j to
+    m + j, one entry per port, on grids with loop edges, arity-0
+    vertices and dangling ports."""
+    rng = random.Random(20)
+    seen = dict.fromkeys(["loop", "arity0", "dangling"], 0)
+    checked = 0
+    while checked < 80:
+        g = _random_mixed_grid(rng) if checked % 2 else _random_gadget(rng, rand_nonneg_sig(rng))
+        if g is None:
+            continue
+        m = len(g.edges)
+        expected = {p: m + j for j, p in enumerate(g.dangling)}
+        for i, (a, b) in enumerate(g.edges):
+            expected[a] = expected[b] = i
+        assert g.validate() == expected
+        assert expected.keys() == {(vid, s) for vid, v in g.vertices.items() for s in range(v.arity)}
+        checked += 1
+        seen["loop"] += "loop" in g.vertices
+        seen["arity0"] += any(v.arity == 0 for v in g.vertices.values())
+        seen["dangling"] += bool(g.dangling)
+    assert min(seen.values()) >= 10, seen
+
+
 def test_pruned_evaluator_matches_no_pruning_reference():
     """Elimination equals the explicit sum over every edge assignment,
     including tensors riddled with zeros and sign flips, arity-0
@@ -346,8 +370,70 @@ def test_live_state_limit_refuses_with_too_many_live_states(monkeypatch):
     g = rand_pure_grid(random.Random(42), SymSig([1, 2, 3, 5]), 14)
     assert holant(g) > 0
     monkeypatch.setattr(grid_module, "MAX_LIVE_STATES", 16)
-    with pytest.raises(TooManyLiveStates, match="live states"):
+    with pytest.raises(TooManyLiveStates) as exc:
         holant(g)
+    assert str(exc.value) == ("elimination table reached 20 live states at vertex ('f', 2), "
+                              "over the limit 16")
+
+
+def test_absorption_order_is_pinned(monkeypatch):
+    """The greedy order on a seeded 14+14-vertex grid: the equality
+    vertices fold into variables, and the f vertices are absorbed in
+    this order. A change to the order function shows here first."""
+    g = rand_pure_grid(random.Random(42), SymSig([1, 2, 3, 5]), 14)
+    orders = []
+    greedy = grid_module._greedy_order
+
+    def recorded(*args):
+        orders.append(greedy(*args))
+        return orders[-1]
+
+    monkeypatch.setattr(grid_module, "_greedy_order", recorded)
+    holant(g)
+    factors = [vid for vid in g.vertices if vid[0] == "f"]
+    assert [factors[i] for i in orders[0]] == [("f", i) for i in (0, 3, 11, 2, 13, 9, 5, 1, 7,
+                                                                  10, 4, 6, 8, 12)]
+
+
+def _insertion_order(variables, touching, left):
+    return list(range(len(variables)))
+
+
+def _reversed_order(variables, touching, left):
+    return list(range(len(variables)))[::-1]
+
+
+@pytest.mark.parametrize("order", [_insertion_order, _reversed_order])
+def test_values_do_not_depend_on_the_absorption_order(order, monkeypatch):
+    """The sweep is exact under any order of the factors, not only the
+    greedy one: holant equals the explicit sum and contract the
+    point-unary closures, on grids drawn as in the tests above."""
+    monkeypatch.setattr(grid_module, "_greedy_order", order)
+    rng = random.Random(21)
+    checked = 0
+    while checked < 40:
+        g = _random_mixed_grid(rng) if checked % 2 else _random_equality_grid(rng)
+        if g is None:
+            continue
+        if g.dangling:
+            tensor, _ = contract(g)
+            assert list(tensor.entries) == [_no_pruning_holant(g, p)
+                                            for p in range(1 << len(g.dangling))]
+        else:
+            assert holant(g) == _no_pruning_holant(g)
+        checked += 1
+    pins = (SymSig([1, 0]), SymSig([0, 1]))
+    checked = 0
+    while checked < 10:
+        gadget = _random_gadget(rng, SymSig([rng.randint(-2, 3) for _ in range(4)]))
+        d = len(gadget.dangling)
+        if not 1 <= d <= 6:
+            continue
+        tensor, _ = contract(gadget)
+        for p in range(1 << d):
+            closed = close_with_unaries(gadget, [pins[(p >> i) & 1] for i in range(d)])
+            assert tensor.value_at(p) == holant(closed)
+        checked += 1
 
 
 # -- equality classes -------------------------------------------------------

@@ -145,6 +145,37 @@ def test_nonplanar_rotation_rejected():
         holographic_reduce(bad)
 
 
+def _pop_last_edge(grid):
+    grid.edges.pop()
+
+
+def _rename_first_l_end(grid):
+    (_, slot), b = grid.edges[0]
+    grid.edges[0] = (("z", slot), b)
+
+
+@pytest.mark.parametrize("break_grid, message", [
+    (_pop_last_edge, "port (('R', 0),2) neither wired nor dangling"),
+    (_rename_first_l_end, "edge: unknown vertex 'z'"),
+])
+def test_as_multigraph_reports_a_malformed_grid_as_validate_does(break_grid, message):
+    """as_multigraph validates the grid it reads, so a broken wiring is
+    validate's GridStructureError naming the faulty port, not a KeyError."""
+    inst = theta_chain_grid(2, ONE_OR_TWO)
+    break_grid(inst.grid)
+    with pytest.raises(GridStructureError) as exc:
+        inst.as_multigraph()
+    assert type(exc.value) is GridStructureError and str(exc.value) == message
+
+
+def test_as_multigraph_refuses_dangling_ports():
+    inst = theta_chain_grid(2, ONE_OR_TWO)
+    for port in inst.grid.edges.pop():
+        inst.grid.mark_dangling(port)
+    with pytest.raises(NotPlanarInstance, match="embedded instances must be closed grids"):
+        inst.as_multigraph()
+
+
 def test_scalar_accounting():
     inst = theta_chain_grid(2, ONE_OR_TWO)
     graph, scalar, _ = holographic_reduce(inst)
