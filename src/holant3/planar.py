@@ -6,29 +6,36 @@ embedding is accepted only when every connected component satisfies
 V - E + F = 2. No geometry and no planarity testing: embeddings are
 inputs, the Euler check is the guard.
 
-count_pm computes the weighted perfect-matching sum exactly: trace the
-faces once, orient the edges so that every face but one has an odd
-number of darts running against the face walk, build the signed skew
-adjacency matrix as sparse rows straight from the edges, and take its
-Pfaffian. Such an orientation gives every perfect matching the same
-sign tau (negative weights make |Pf| alone insufficient). When the
-caller knows one perfect matching, as the matchgate splice does, tau is
-the sign of that matching's term, an O(n) permutation parity. Otherwise
-a second Pfaffian on the same orientation with unit weights equals tau
-times the number of perfect matchings: it is 0 exactly when there is
-none, and otherwise its sign is tau.
+count_pm computes the weighted perfect-matching sum exactly. It traces
+the faces once and finds the components and a spanning forest in one
+depth-first search. It orients the whole graph at once, so that in each
+component every face but one has an odd number of darts running against
+the face walk, builds every component's signed skew adjacency matrix as
+sparse rows in one pass over the edges, and multiplies one Pfaffian per
+component. Such an orientation gives every perfect matching of a
+component the same sign tau (negative weights make |Pf| alone
+insufficient). When the caller knows one perfect matching, as the
+matchgate splice does, tau is the sign of that matching's term, an O(n)
+permutation parity. Otherwise a second Pfaffian on the same orientation
+with unit weights equals tau times the number of perfect matchings: it
+is 0 exactly when there is none, and otherwise its sign is tau. The
+components keep separate Pfaffians: in one over the whole graph, every
+later component's fraction-free entries would carry the Pfaffians of
+the earlier ones.
 
 pfaffian takes dense rows or {column: entry} rows and runs one sparse
 fraction-free skew elimination: only the entries where the two pivot
 rows meet are touched, so its cost follows the fill, not n^2. The
 layers before it index darts as 2 idx + end and vertices by position.
 On the benchmark's 14-vertex covers (56 matching vertices, seed 1;
-2-core Xeon VM, Python 3.11.7) count_pm takes a median 0.66 ms: genus
-check 0.08, orientation 0.13, Pfaffian 0.28. A whole
-solve_planar_moderate_cover on the test suite's bead/ladder instances
-takes 0.03/0.10/0.53 s at 240/480/960 grid vertices. Entries are
-Pfaffian minors, whose bit length grows with the eliminated block, and
-the fill depends on the vertex order, so large sizes stay superlinear.
+2-core Xeon VM, Python 3.11.7, a quiet run) count_pm takes a median
+0.62 ms: genus check and component search 0.10, orientation 0.08,
+Pfaffian 0.30. A whole solve_planar_moderate_cover on the test suite's
+bead/ladder instances takes 0.03/0.1/0.4-0.6 s at 240/480/960 grid
+vertices.
+Entries are Pfaffian minors, whose bit length grows with the eliminated
+block, and the fill depends on the vertex order, so large sizes stay
+superlinear.
 """
 
 from __future__ import annotations
@@ -40,7 +47,6 @@ from fractions import Fraction
 
 from .errors import GridStructureError, NotGenusZero, NotSkewSymmetric
 from .exact import Scalar, frac
-from .grid import connected_components
 
 
 @dataclass
@@ -145,82 +151,74 @@ def trace_faces(g: PlanarMultigraph) -> list[list]:
     return [[(dart >> 1, dart & 1) for dart in walk] for walk in _walks(g)]
 
 
-def check_genus_zero(g: PlanarMultigraph) -> tuple[list[list[int]], list[set]]:
-    """Face walks (as dart codes 2 idx + end) and connected components
-    of the embedding; raises NotGenusZero unless every component
-    satisfies V - E + F = 2."""
+def check_genus_zero(g: PlanarMultigraph) -> tuple[list[list[int]], tuple]:
+    """Face walks (as dart codes 2 idx + end) and the spanning forest of
+    the embedding, as _forest returns it; raises NotGenusZero unless
+    every connected component satisfies V - E + F = 2."""
     faces = _walks(g)
-    comps = connected_components(g.vertices, ((u, v) for u, v, _ in g.edges))
-    if len(comps) == 1:
-        counts = [[len(g.vertices), len(g.edges), len(faces)]]
-    else:
-        comp_of = {v: ci for ci, comp in enumerate(comps) for v in comp}
-        counts = [[len(comp), 0, 0] for comp in comps]
-        edge_comp = [comp_of[u] for u, _, _ in g.edges]
-        for ci in edge_comp:
-            counts[ci][1] += 1
-        for walk in faces:
-            counts[edge_comp[walk[0] >> 1]][2] += 1
+    forest = _forest(g)
+    owner, _, comp = forest
+    counts = [[0, 0, 0] for _ in range(max(comp, default=-1) + 1)]
+    for ci in comp:
+        counts[ci][0] += 1
+    for vi in owner[::2]:
+        counts[comp[vi]][1] += 1
+    for walk in faces:
+        counts[comp[owner[walk[0]]]][2] += 1
     for ci, (v, e, f) in enumerate(counts):
         if v == 1 and e == 0:
             continue  # isolated vertex: one trivial face
         if v - e + f != 2:
             raise NotGenusZero(f"component {ci}: V-E+F = {v}-{e}+{f} != 2")
-    return faces, comps
+    return faces, forest
+
+
+def _forest(g: PlanarMultigraph) -> tuple[list[int], list[bool], list[int]]:
+    """One depth-first search by vertex position in g.vertices. Returns
+    per end code 2 idx + end the position of its vertex, per edge
+    whether it is in the spanning forest, and per vertex its connected
+    component, numbered in order of first vertex. Ends are read off the
+    rotations, which validate has checked against the edges: one lookup
+    per vertex, not one hash of an id per end."""
+    owner = [0] * (2 * len(g.edges))
+    incident = []                        # per vertex, its end codes in rotation order
+    for vi, v in enumerate(g.vertices):
+        codes = [2 * idx + end for idx, end in g.rotation.get(v, ())]
+        for code in codes:
+            owner[code] = vi
+        incident.append(codes)
+    comp = [-1] * len(incident)
+    tree = [False] * len(g.edges)
+    ci = 0
+    for root in range(len(incident)):
+        if comp[root] >= 0:
+            continue
+        comp[root] = ci
+        stack = [root]
+        while stack:
+            for code in incident[stack.pop()]:
+                nxt = owner[code ^ 1]        # the edge's other end
+                if comp[nxt] < 0:
+                    comp[nxt] = ci
+                    tree[code >> 1] = True
+                    stack.append(nxt)
+        ci += 1
+    return owner, tree, comp
 
 
 # -- Pfaffian orientation ----------------------------------------------------
 
-def _owners(g: PlanarMultigraph) -> list[int]:
-    """Per end code, the position of its vertex among the rotation's keys."""
-    owner = [0] * (2 * len(g.edges))
-    for vi, rot in enumerate(g.rotation.values()):
-        for idx, end in rot:
-            owner[2 * idx + end] = vi
-    return owner
-
-
-def _spanning_tree(g: PlanarMultigraph) -> list[bool]:
-    """Per edge, is it in a depth-first spanning forest?"""
-    owner = _owners(g)
-    incident: list = [[] for _ in g.rotation]
-    for idx in range(len(g.edges)):
-        incident[owner[2 * idx]].append(idx)
-        incident[owner[2 * idx + 1]].append(idx)
-    seen = [False] * len(incident)
-    tree = [False] * len(g.edges)
-    for root in range(len(incident)):
-        if seen[root]:
-            continue
-        seen[root] = True
-        stack = [root]
-        while stack:
-            cur = stack.pop()
-            for idx in incident[cur]:
-                nxt = owner[2 * idx] ^ owner[2 * idx + 1] ^ cur     # the edge's other end
-                if not seen[nxt]:
-                    seen[nxt] = True
-                    tree[idx] = True
-                    stack.append(nxt)
-    return tree
-
-
-def kasteleyn_orient(g: PlanarMultigraph, outer_face: int | None = None,
-                     faces=None) -> list[int]:
-    """Direction per edge (0: as stored u->v, 1: reversed) such that
-    every face except one has an odd number of darts disagreeing with
-    the edge direction along the face walk. faces are dart-code walks
-    as check_genus_zero returns them. Verified before returning."""
+def kasteleyn_orient(g: PlanarMultigraph, faces=None, forest=None) -> list[int]:
+    """Direction per edge (0: as stored u->v, 1: reversed) such that in
+    each component every face but the first listed has an odd number of
+    darts disagreeing with the edge direction along the face walk. faces
+    and forest are as check_genus_zero returns them. Verified before
+    returning."""
     if faces is None:
-        faces, _ = check_genus_zero(g)
-    if not g.edges:
-        return []
-    tree = _spanning_tree(g)
-    tree_size = sum(tree)
-    if tree_size != len(g.vertices) - 1:
-        raise NotGenusZero("orientation construction expects a connected graph")
-    if outer_face is None:
-        outer_face = max(range(len(faces)), key=lambda i: len(faces[i]))
+        faces, forest = check_genus_zero(g)
+    elif forest is None:
+        forest = _forest(g)
+    tree = forest[1]
     face_of = [0] * (2 * len(g.edges))
     for fi, walk in enumerate(faces):
         for dart in walk:
@@ -233,21 +231,27 @@ def kasteleyn_orient(g: PlanarMultigraph, outer_face: int | None = None,
             dual_adj[face_of[2 * idx]].append(2 * idx + 1)
             dual_adj[face_of[2 * idx + 1]].append(2 * idx)
 
-    # BFS from the outer face over the dual tree, entering each face by a dart on its walk
+    # BFS over the dual forest from each component's first listed face,
+    # entering every other face by a dart on its walk
     entry = [-1] * len(faces)
-    order = [outer_face]
     seen_faces = [False] * len(faces)
-    seen_faces[outer_face] = True
-    for cur in order:
-        for dart in dual_adj[cur]:
-            nxt = face_of[dart]
-            if not seen_faces[nxt]:
-                seen_faces[nxt] = True
-                entry[nxt] = dart
-                order.append(nxt)
+    order = []                           # the faces entered, root by root
+    for root in range(len(faces)):
+        if seen_faces[root]:
+            continue
+        seen_faces[root] = True
+        queue = [root]
+        for cur in queue:
+            for dart in dual_adj[cur]:
+                nxt = face_of[dart]
+                if not seen_faces[nxt]:
+                    seen_faces[nxt] = True
+                    entry[nxt] = dart
+                    queue.append(nxt)
+        order += queue[1:]
 
     orientation = [0] * len(g.edges)     # tree edges as stored
-    for fi in reversed(order[1:]):
+    for fi in reversed(order):
         # every other edge on the walk is decided: point this one along its
         # dart, then reverse it if the face would have an even count
         dart = entry[fi]
@@ -255,22 +259,33 @@ def kasteleyn_orient(g: PlanarMultigraph, outer_face: int | None = None,
         if sum(orientation[d >> 1] != d & 1 for d in faces[fi]) % 2 == 0:
             orientation[dart >> 1] ^= 1
 
-    if tree_size + len(order) - 1 != len(g.edges):
+    if sum(tree) + len(order) != len(g.edges):
         raise NotGenusZero("dual traversal missed edges; embedding inconsistent")
-    if not verify_kasteleyn(g, orientation, faces, outer_face):
+    if not verify_kasteleyn(g, orientation, faces, forest):
         raise AssertionError("constructed orientation failed the odd-face check")
     return orientation
 
 
-def verify_kasteleyn(g: PlanarMultigraph, orientation, faces=None, outer_face=None) -> bool:
-    """Does every face walk (dart codes, as check_genus_zero returns them)
-    but the outer one have an odd number of darts against the edges?"""
+def verify_kasteleyn(g: PlanarMultigraph, orientation, faces=None, forest=None) -> bool:
+    """Does at most one face walk per component (dart codes, as
+    check_genus_zero returns them) have an even number of darts against
+    the edges? That is Kasteleyn's condition on the sphere, where any
+    face may be the outer one: each edge runs against exactly one of
+    its two darts, so a component's counts sum to its E and its last
+    face's parity follows from the others."""
     if faces is None:
-        faces, _ = check_genus_zero(g)
-    if outer_face is None:
-        outer_face = max(range(len(faces)), key=lambda i: len(faces[i]))
-    return all(sum(orientation[d >> 1] != d & 1 for d in walk) % 2
-               for fi, walk in enumerate(faces) if fi != outer_face)
+        faces, forest = check_genus_zero(g)
+    elif forest is None:
+        forest = _forest(g)
+    owner, _, comp = forest
+    even = set()                 # components with an even face
+    for walk in faces:
+        if sum(orientation[d >> 1] != d & 1 for d in walk) % 2 == 0:
+            ci = comp[owner[walk[0]]]
+            if ci in even:
+                return False
+            even.add(ci)
+    return True
 
 
 # -- Pfaffian ----------------------------------------------------------------
@@ -385,63 +400,86 @@ def pfaffian(matrix) -> Scalar:
 # -- perfect matchings -------------------------------------------------------
 
 def count_pm(g: PlanarMultigraph, matching=None) -> Scalar:
-    """Exact weighted perfect-matching sum over a genus-0 multigraph.
-
-    matching, when given, lists the edge indices of one perfect matching
-    of g; each component then takes its Pfaffian's sign from that
-    matching's term instead of from a unit-weight Pfaffian."""
-    faces, comps = check_genus_zero(g)
-    if len(comps) == 1:
-        return _count_pm_component(g, faces, matching)
-    # one pass buckets vertices, edges (renumbered in order), rotations,
-    # faces and the matching by component; the Euler check covered each
-    comp_of = {v: ci for ci, comp in enumerate(comps) for v in comp}
-    parts = [([], [], {}, [], []) for _ in comps]
-    renum = []                   # per edge: (component, index within it)
-    for e in g.edges:
-        ci = comp_of[e[0]]
-        renum.append((ci, len(parts[ci][1])))
-        parts[ci][1].append(e)
-    for v in g.vertices:
-        parts[comp_of[v]][0].append(v)
-    for v, rot in g.rotation.items():
-        parts[comp_of[v]][2][v] = [(renum[idx][1], end) for idx, end in rot]
-    for walk in faces:
-        parts[renum[walk[0] >> 1][0]][3].append(
-            [2 * renum[d >> 1][1] + (d & 1) for d in walk])
-    for idx in matching or ():
-        ci, k = renum[idx]
-        parts[ci][4].append(k)
+    """Exact weighted perfect-matching sum over a genus-0 multigraph: the
+    product over its components of one weighted Pfaffian each, times
+    the component's sign tau. Pfaffian indices follow the str order of
+    the vertex ids within a component. matching, when given, lists the
+    edge indices of one perfect matching of g, and each tau is the sign
+    of its term; otherwise each is the sign of a unit-weight Pfaffian,
+    and these all run before the weighted ones."""
+    faces, forest = check_genus_zero(g)
+    owner, _, comp = forest
+    ids = [str(v) for v in g.vertices]
+    index = [0] * len(ids)
+    size = [0] * (max(comp, default=-1) + 1)
+    for vi in sorted(range(len(ids)), key=ids.__getitem__):
+        index[vi] = size[comp[vi]]
+        size[comp[vi]] += 1
+    if any(n % 2 for n in size):
+        return Fraction(0)
+    orientation = kasteleyn_orient(g, faces=faces, forest=forest)
+    weighted: list = [[{} for _ in range(n)] for n in size]
+    arcs = []                    # (component, tail, head) of each edge
+    for idx, (_, _, w) in enumerate(g.edges):
+        if w.denominator == 1:
+            w = w.numerator      # int sums: no Fraction arithmetic while building
+        a, b = owner[2 * idx], owner[2 * idx + 1]
+        if orientation[idx] == 1:
+            a, b = b, a
+        ci, i, j = comp[a], index[a], index[b]
+        rows = weighted[ci]
+        rows[i][j] = rows[i].get(j, 0) + w
+        rows[j][i] = rows[j].get(i, 0) - w
+        arcs.append((ci, i, j))
+    # every matching of a component carries the same sign tau under this orientation
+    if matching is not None:
+        pairs: list = [[] for _ in size]
+        for idx in matching:
+            ci, i, j = arcs[idx]
+            pairs[ci].append((i, j))
+        taus = [matching_sign(p, n) for p, n in zip(pairs, size)]
+    else:
+        # Pf(unit) = tau * #PM, so 0 means there is no perfect matching
+        units: list = [[{} for _ in range(n)] for n in size]
+        for ci, i, j in arcs:
+            unit = units[ci]
+            unit[i][j] = unit[i].get(j, 0) + 1
+            unit[j][i] = unit[j].get(i, 0) - 1
+        taus = []
+        for unit in units:
+            signed_count = pfaffian(unit)
+            if not signed_count:
+                return Fraction(0)
+            taus.append(1 if signed_count > 0 else -1)
     total: Scalar = Fraction(1)
-    for vertices, edges, rotation, walks, sub_matching in parts:
-        sub = PlanarMultigraph(vertices, edges, rotation)
-        total = total * _count_pm_component(sub, walks, None if matching is None else sub_matching)
-        if not total:
-            return Fraction(0)
+    for tau, rows in zip(taus, weighted):
+        total = total * tau * pfaffian(rows)
     return total
 
 
 def enumerate_pm(g: PlanarMultigraph) -> Scalar:
     """Exponential reference: sum of weight products over all perfect
-    matchings by direct recursion (embedding ignored)."""
+    matchings, each built by matching the first unmatched vertex in str
+    order (embedding ignored). An explicit stack of (unmatched, product)
+    keeps deep graphs within the interpreter's recursion limit."""
     incident: dict = {v: [] for v in g.vertices}
-    for idx, (u, v, w) in enumerate(g.edges):
+    for u, v, w in g.edges:
         incident[u].append((v, w))
         incident[v].append((u, w))
     order = sorted(g.vertices, key=str)
-
-    def rec(unmatched: frozenset) -> Scalar:
+    total: Scalar = Fraction(0)
+    stack = [(frozenset(g.vertices), Fraction(1))]
+    while stack:
+        unmatched, product = stack.pop()
         if not unmatched:
-            return Fraction(1)
+            total = total + product
+            continue
         v = next(x for x in order if x in unmatched)
         rest = unmatched - {v}
-        total: Scalar = Fraction(0)
         for w, weight in incident[v]:
             if w in rest:
-                total = total + weight * rec(rest - {w})
-        return total
-
-    return rec(frozenset(g.vertices))
+                stack.append((rest - {w}, product * weight))
+    return total
 
 
 def matching_sign(pairs, n: int) -> int:
@@ -462,44 +500,3 @@ def matching_sign(pairs, n: int) -> int:
                 i = perm[i]
     return -1 if parity % 2 else 1
 
-
-def _count_pm_component(g: PlanarMultigraph, faces, matching=None) -> Scalar:
-    """Weighted matching sum of a connected multigraph whose faces are
-    given, from one Pfaffian of sparse rows when a perfect matching is
-    given (edge indices) and two on one orientation when not."""
-    n = len(g.vertices)
-    if n % 2 == 1:
-        return Fraction(0)
-    orientation = kasteleyn_orient(g, faces=faces)
-    # Pfaffian indices in str order of the vertex ids; a connected graph
-    # of two or more vertices keys a rotation entry for each
-    ids = [str(v) for v in g.rotation]
-    order = sorted(range(n), key=ids.__getitem__)
-    index = sorted(range(n), key=order.__getitem__)     # the inverse permutation
-    owner = _owners(g)
-    weighted: list = [{} for _ in range(n)]
-    arcs = []                    # (tail, head) index pair of each edge
-    for idx, (_, _, w) in enumerate(g.edges):
-        if w.denominator == 1:
-            w = w.numerator      # int sums: no Fraction arithmetic while building
-        i, j = index[owner[2 * idx]], index[owner[2 * idx + 1]]
-        if orientation[idx] == 1:
-            i, j = j, i
-        weighted[i][j] = weighted[i].get(j, 0) + w
-        weighted[j][i] = weighted[j].get(i, 0) - w
-        arcs.append((i, j))
-    # every matching carries the same sign tau under this orientation
-    if matching is not None:
-        tau = matching_sign((arcs[idx] for idx in matching), n)
-    else:
-        # Pf(unit) = tau * #PM, so 0 means there is no perfect matching
-        unit: list = [{} for _ in range(n)]
-        for i, j in arcs:
-            unit[i][j] = unit[i].get(j, 0) + 1
-            unit[j][i] = unit[j].get(i, 0) - 1
-        signed_count = pfaffian(unit)
-        if not signed_count:
-            return Fraction(0)
-        tau = 1 if signed_count > 0 else -1
-    pf = pfaffian(weighted)
-    return pf if tau > 0 else -pf

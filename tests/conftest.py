@@ -146,6 +146,19 @@ def apollonian_graph(rng: random.Random, steps: int) -> PlanarMultigraph:
     return g
 
 
+def planar_union(*graphs) -> PlanarMultigraph:
+    """Disjoint union; vertex v of graphs[k] becomes (k, v), and its edges
+    follow those of graphs[:k]."""
+    vertices, edges, rotation = [], [], {}
+    for k, g in enumerate(graphs):
+        base = len(edges)
+        vertices += [(k, v) for v in g.vertices]
+        edges += [((k, u), (k, v), w) for u, v, w in g.edges]
+        rotation.update(((k, v), [(base + idx, end) for idx, end in r])
+                        for v, r in g.rotation.items())
+    return PlanarMultigraph(vertices, edges, rotation)
+
+
 def random_planar_graph(rng: random.Random, max_extra=4, weight_lo=-3, weight_hi=4):
     """Apollonian subgraph with random exact weights (zero and negative
     included) and random edge deletions."""

@@ -121,6 +121,17 @@ def test_pm_count_with_oracle(tmp_path, capsys):
     assert "oracle: match" in capsys.readouterr().out
 
 
+def test_pm_count_oracle_on_1200_disjoint_edges(tmp_path):
+    """The enumeration oracle matches one pair per step; 1200 steps run
+    past the interpreter's recursion limit and must still not traceback."""
+    obj = {"vertices": [{"id": i, "rotation": [[i // 2, i % 2]]} for i in range(2400)],
+           "edges": [[2 * e, 2 * e + 1, "1"] for e in range(1200)]}
+    path = tmp_path / "edges.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run_cli(["pm-count", "--input", str(path), "--oracle"])
+    assert (code, out, err) == (0, "pm_count: 1\noracle: match\n", "")
+
+
 THETA = {"vertices": [{"id": 0, "sig": "[0,1,1,0]", "side": "L"},
                      {"id": 1, "sig": "EQ3", "side": "R"}],
          "edges": [[0, 0, 1, 0], [0, 1, 1, 1], [0, 2, 1, 2]]}

@@ -25,6 +25,7 @@ from holant3.planar import (
     PlanarMultigraph,
     check_genus_zero,
     count_pm,
+    enumerate_pm,
     kasteleyn_orient,
     matching_sign,
     pfaffian,
@@ -34,6 +35,7 @@ from conftest import (
     bead_expand,
     bead_ladder_instance,
     ladder_expand,
+    planar_union,
     random_embedded_instance,
     random_planar_graph,
     theta_chain_grid,
@@ -323,9 +325,9 @@ def test_gate_matching_sign_equals_the_unit_pfaffian_sign():
     order; a new index order or new gate weights must keep this."""
     for inst in _gate_matching_instances():
         graph, _, matching = holographic_reduce(inst)
-        faces, comps = check_genus_zero(graph)
-        assert len(comps) == 1
-        orientation = kasteleyn_orient(graph, faces=faces)
+        faces, forest = check_genus_zero(graph)
+        assert set(forest[2]) == {0}          # one component
+        orientation = kasteleyn_orient(graph, faces=faces, forest=forest)
         index_of = {v: i for i, v in enumerate(sorted(graph.vertices, key=str))}
         arcs = []
         for idx, (u, v, _) in enumerate(graph.edges):
@@ -355,20 +357,21 @@ def test_matching_sign_is_the_pair_permutation_parity():
 def test_pfaffian_runs_once_per_component_of_a_cover_solve(monkeypatch, tmp_path, capsys):
     """solve-planar-cover hands count_pm the gate matching, so each
     component costs one Pfaffian; pm-count knows no matching and still
-    runs two. count_pm finds the components once, in check_genus_zero."""
+    runs two, every unit Pfaffian first. Each genus check makes the one
+    component search, in _forest, that count_pm reuses."""
     pfaffians, component_passes = [], []
-    connected_components = planar.connected_components
+    forest = planar._forest
 
     def counted_pfaffian(matrix):
         pfaffians.append(len(matrix))
         return pfaffian(matrix)
 
-    def counted_components(vertices, pairs):
+    def counted_forest(g):
         component_passes.append(1)
-        return connected_components(vertices, pairs)
+        return forest(g)
 
     monkeypatch.setattr(planar, "pfaffian", counted_pfaffian)
-    monkeypatch.setattr(planar, "connected_components", counted_components)
+    monkeypatch.setattr(planar, "_forest", counted_forest)
 
     assert solve_planar_moderate_cover(theta_chain_grid(2, ONE_OR_TWO)) == 2
     assert (pfaffians, component_passes) == ([16], [1, 1])    # input embedding, composed graph
@@ -386,7 +389,7 @@ def test_pfaffian_runs_once_per_component_of_a_cover_solve(monkeypatch, tmp_path
     component_passes.clear()
     assert main(["pm-count", "--input", str(path), "--format", "json"]) == 0
     assert scalar * Fraction(json.loads(capsys.readouterr().out)["pm_count"]) == 4
-    assert (pfaffians, component_passes) == ([16, 16, 32, 32], [1])
+    assert (pfaffians, component_passes) == ([16, 32, 16, 32], [1])
 
 
 def test_one_pfaffian_cover_solve_equals_two_pfaffian_count_at_480_vertices():
@@ -410,8 +413,9 @@ def _theta_union(k):
 
 
 def test_count_pm_splits_a_200_theta_union_in_one_pass(monkeypatch):
-    """Each component is cut out by one bucketing pass, not by a
-    without_vertices of the whole graph per component."""
+    """count_pm builds every component's rows in one pass over the whole
+    graph: it cuts no component out, by without_vertices or as a new
+    PlanarMultigraph."""
     parts, union = _theta_union(200)
     graph, _, matching = holographic_reduce(union)
     expected = Fraction(1)
@@ -419,12 +423,14 @@ def test_count_pm_splits_a_200_theta_union_in_one_pass(monkeypatch):
         part_graph, _, part_matching = holographic_reduce(part)
         expected *= count_pm(part_graph, part_matching)
 
-    def refuse(self, removed):
+    def refuse(self, *removed):
         raise AssertionError("count_pm cut a component out of the whole graph")
 
     monkeypatch.setattr(PlanarMultigraph, "without_vertices", refuse)
-    assert count_pm(graph, matching) == expected
-    assert count_pm(graph) == expected
+    with monkeypatch.context() as patched:
+        patched.setattr(PlanarMultigraph, "__post_init__", refuse)
+        assert count_pm(graph, matching) == expected
+        assert count_pm(graph) == expected
     assert solve_planar_moderate_cover(union) == 2 ** 200
 
 
@@ -443,6 +449,16 @@ def test_values_do_not_depend_on_vertex_or_rotation_order():
         assert solve_planar_moderate_cover(EmbeddedGrid(grid, rotations)) == value
         graphs.append(holographic_reduce(inst)[::2])
     graphs.extend((random_planar_graph(rng), None) for _ in range(8))
+    # a union of two gate graphs, and a union with an isolated vertex among its parts
+    (ga, sa, ma), (gb, sb, mb) = (holographic_reduce(theta_chain_grid(2, ONE_OR_TWO))
+                                  for _ in range(2))
+    isolated = PlanarMultigraph(["x"], [], {"x": []})
+    unions = [(planar_union(ga, gb), list(ma) + [len(ga.edges) + idx for idx in mb]),
+              (planar_union(ga, isolated, gb), None)]
+    assert [sa * sb * count_pm(g, m) for g, m in unions] == [2 * 2, 0]
+    for graph, matching in unions:
+        assert enumerate_pm(graph) == count_pm(graph, matching) == count_pm(graph)
+    graphs.extend(unions)
     for graph, matching in graphs:
         count = count_pm(graph, matching)
         vertices, keys = list(graph.vertices), list(graph.rotation)

@@ -15,7 +15,7 @@ from holant3.planar import (
     trace_faces,
     verify_kasteleyn,
 )
-from conftest import apollonian_graph, enumerate_pm_oracle, random_planar_graph
+from conftest import apollonian_graph, enumerate_pm_oracle, planar_union, random_planar_graph
 
 
 def _triangle():
@@ -67,11 +67,18 @@ def test_kasteleyn_verifier_on_random_graphs():
         assert verify_kasteleyn(g, orientation)
 
 
-def test_kasteleyn_rejects_disconnected():
-    g = PlanarMultigraph([0, 1, 2, 3], [(0, 1, 1), (2, 3, 1)],
-                         {0: [(0, 0)], 1: [(0, 1)], 2: [(1, 0)], 3: [(1, 1)]})
-    with pytest.raises(NotGenusZero):
-        kasteleyn_orient(g)
+def test_kasteleyn_orients_disconnected():
+    """One orientation covers both components of a disjoint union, and
+    count_pm gives the product of the components' counts."""
+    k4 = _k4()
+    square = _square([2, 3, 5, 7])
+    g = planar_union(k4, square)
+    faces, forest = check_genus_zero(g)
+    assert forest[2] == [0] * 4 + [1] * 4
+    orientation = kasteleyn_orient(g, faces=faces, forest=forest)
+    assert verify_kasteleyn(g, orientation)
+    assert verify_kasteleyn(g, orientation, faces, forest)
+    assert count_pm(g) == count_pm(k4) * count_pm(square) == 3 * (2 * 5 + 3 * 7)
 
 
 def test_pfaffian_base_cases():
@@ -172,16 +179,24 @@ def test_count_pm_disconnected_product():
 
 
 def test_orientation_choice_does_not_change_count():
-    """Pinning different faces as the outer one gives different valid
-    orientations; the signed count must not move."""
-    g = _k4()
-    faces = trace_faces(g)
-    counts = set()
-    for outer in range(len(faces)):
-        orientation = kasteleyn_orient(g, outer_face=outer)
-        assert verify_kasteleyn(g, orientation, outer_face=outer)
+    """kasteleyn_orient roots each component at its first listed face:
+    rotating the face list roots each face in turn. Every other face is
+    odd, and the root's parity follows from V, so with V odd each root
+    gives its own orientation. The signed count must not move."""
+    for g in (_k4(), _triangle(), apollonian_graph(random.Random(86), 2)):
+        faces, forest = check_genus_zero(g)
+        orientations = set()
+        for root in range(len(faces)):
+            rotated = faces[root:] + faces[:root]
+            orientation = kasteleyn_orient(g, faces=rotated, forest=forest)
+            assert verify_kasteleyn(g, orientation, rotated, forest)
+            odd = [sum(orientation[d >> 1] != d & 1 for d in walk) % 2 for walk in rotated]
+            assert odd == [1 - len(g.vertices) % 2] + [1] * (len(faces) - 1)
+            orientations.add(tuple(orientation))
+        assert len(orientations) == (len(faces) if len(g.vertices) % 2 else 1)
     # full pipeline invariance under vertex relabeling order
-    counts.add(count_pm(g))
+    g = _k4()
+    counts = {count_pm(g)}
     relabeled = PlanarMultigraph(list(reversed(g.vertices)), list(g.edges),
                                  {v: list(r) for v, r in g.rotation.items()})
     counts.add(count_pm(relabeled))
