@@ -46,7 +46,6 @@ from .planar import (
     enumerate_pm,
     kasteleyn_orient,
     pfaffian,
-    trace_faces,
 )
 from .matchgates import (
     EmbeddedGrid,

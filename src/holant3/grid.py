@@ -19,7 +19,7 @@ is exact, never rounded. Its one refusal is a table past MAX_LIVE_STATES
 entries (not a count of edges). The independent checks against explicit
 summation over every edge assignment live in the test suite. Builders and
 parse_grid leave the wiring unchecked: validate runs once per grid, in its
-consumer (_eliminate, TractableInstance or EmbeddedGrid.as_multigraph).
+consumer (_eliminate, TractableInstance or holographic_reduce).
 """
 
 from __future__ import annotations
@@ -112,7 +112,7 @@ class SignatureGrid:
         or dangling exactly when the ports used number all ports. The per-port
         checks are written out inline: no call per port. Run once per grid by
         its consumer: _eliminate (holant and contract), TractableInstance and
-        EmbeddedGrid.as_multigraph. Returns the wiring it builds, port -> wire:
+        holographic_reduce. Returns the wiring it builds, port -> wire:
         the port's edge index, or m + i for dangling port i (m edges)."""
         vertices, wire = self.vertices, {}
         for i, (a, b) in enumerate(self.edges):

@@ -12,18 +12,20 @@ both are realizable as weighted planar matchgates:
 holographic_reduce splices a copy of crossing_gate (gate A) or
 equality_gate (gate B), the one definition of each, for every vertex of
 an embedded 3-regular bipartite grid and joins the external stubs along
-the original edges, read off the checked input embedding. The result is
-a planar graph whose weighted perfect-matching count, times the gate
-scalars, equals the grid's partition function exactly. count_pm is the
-one genus check on the composed graph.
+the original edges, read off the grid's wiring in rotation order. The
+result has the input's genus, and its weighted perfect-matching count,
+times the gate scalars, equals the grid's partition function exactly.
+The embedding is checked once, by count_pm's genus check on the
+composed graph; solve_planar_moderate_cover reports its refusal as
+NotPlanarInstance.
 
 Each gate also carries one perfect matching of its own vertices that
 uses no stub: gate A's u-t0 and t1-t2, gate B's u-t2 and t0-t1. Their
 union is a perfect matching of the composed graph, so count_pm reads
 the Pfaffian's sign off that matching's term and runs one Pfaffian per
 component, not a second one with unit weights. Both gates are built
-once, at import; on a 14-vertex cover holographic_reduce takes a
-median 0.33 ms, 0.11 of it the input embedding's check.
+once, at import. On the benchmark's 14-vertex covers holographic_reduce
+took a median 0.26-0.43 ms (under load; 2-core Xeon VM, Python 3.11.7).
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from fractions import Fraction
 from .errors import NotGenusZero, NotPlanarInstance, WrongSignatures
 from .exact import frac
 from .grid import SignatureGrid
-from .planar import PlanarMultigraph, check_genus_zero, count_pm
+from .planar import PlanarMultigraph, count_pm
 from .signatures import EQ3, SymSig, Tensor
 
 ONE_OR_TWO = SymSig([0, 1, 1, 0])
@@ -104,47 +106,33 @@ class EmbeddedGrid:
     grid: SignatureGrid
     rotations: dict
 
-    def as_multigraph(self) -> PlanarMultigraph:
-        """Validate the closed grid; read each rotation slot's edge end off its wiring."""
-        wire = self.grid.validate()
-        if self.grid.dangling:
-            raise NotPlanarInstance("embedded instances must be closed grids")
-        rotation = {}
-        for vid, v in self.grid.vertices.items():
-            slots = self.rotations.get(vid)
-            if slots is None or sorted(slots) != list(range(v.arity)):
-                raise NotPlanarInstance(f"vertex {vid!r} lacks a full slot rotation")
-            ports = [(vid, s) for s in slots]
-            rotation[vid] = [(wire[p], self.grid.edges[wire[p]].index(p)) for p in ports]
-        edges = [(a[0], b[0], Fraction(1)) for a, b in self.grid.edges]
-        return PlanarMultigraph(list(self.grid.vertices), edges, rotation)
-
-    def validate_planar(self) -> PlanarMultigraph:
-        graph = self.as_multigraph()
-        try:
-            check_genus_zero(graph)
-        except NotGenusZero as e:
-            raise NotPlanarInstance(str(e)) from e
-        return graph
-
 
 def holographic_reduce(inst: EmbeddedGrid):
     """Splice a copy of gate A for each [0,1,1,0] vertex and of gate B
     for each equality vertex, and join the external stubs with weight-1
-    edges along the original edges, read off the multigraph
-    validate_planar returns. Gate vertex name becomes (vid, name) and
-    external k becomes (vid, k), where k is the position of the joined
-    slot in the vertex's rotation.
+    edges along the original edges, read off the wiring grid.validate
+    returns. Gate vertex name becomes (vid, name) and external k becomes
+    (vid, k), where k is the position of the joined slot in the
+    vertex's rotation.
 
     Returns (graph, scalar, matching) with scalar * count_pm(graph)
     equal to the partition function of the input grid, and matching the
     edge indices of the gates' own perfect matchings, a perfect matching
-    of graph. A gate is a disk with its externals on the outer face, so
-    splicing keeps the genus that validate_planar checked; count_pm
-    checks the composed graph.
+    of graph. The embedding is not checked here. A gate is a disk with
+    its externals on the outer face in the rotation's order, so the
+    splice puts 4 vertices in place of each grid vertex, and gate A adds
+    6 edges and 3 inner faces, gate B 4 edges and 1: each component's
+    V - E + F is the input's, planar or not, and count_pm's genus check
+    on graph is the one check of the input embedding.
     """
-    embedding = inst.validate_planar()
     grid = inst.grid
+    wire = grid.validate()
+    if grid.dangling:
+        raise NotPlanarInstance("embedded instances must be closed grids")
+    for vid, v in grid.vertices.items():
+        slots = inst.rotations.get(vid)
+        if slots is None or sorted(slots) != list(range(v.arity)):
+            raise NotPlanarInstance(f"vertex {vid!r} lacks a full slot rotation")
     left_ids, right_ids = [], []
     for vid, v in grid.vertices.items():
         if v.arity != 3:
@@ -180,8 +168,9 @@ def holographic_reduce(inst: EmbeddedGrid):
             matching.extend([idx + offset for idx in gate.matching])
             rots = [[(idx + offset, end) for idx, end in g.rotation[v]] for v in g.vertices]
             rotation.update(zip(names, rots))
-            for (idx, end), p in zip(embedding.rotation[vid], externals):
-                stubs[idx][end] = names[p], rots[p]
+            for slot, p in zip(inst.rotations[vid], externals):
+                idx = wire[vid, slot]
+                stubs[idx][grid.edges[idx].index((vid, slot))] = names[p], rots[p]
     for (ta, rot_a), (tb, rot_b) in stubs:
         rot_a.insert(0, (len(edges), 0))        # the stub leads each external's rotation
         rot_b.insert(0, (len(edges), 1))
@@ -194,4 +183,8 @@ def solve_planar_moderate_cover(inst: EmbeddedGrid) -> Fraction:
     planar 3-uniform 3-regular instance, in polynomial time: the
     partition function of the grid via its planar matching count."""
     graph, scalar, matching = holographic_reduce(inst)
-    return frac(scalar * count_pm(graph, matching))
+    try:
+        count = count_pm(graph, matching)
+    except NotGenusZero as e:
+        raise NotPlanarInstance(str(e)) from e
+    return frac(scalar * count)

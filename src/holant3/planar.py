@@ -8,20 +8,21 @@ inputs, the Euler check is the guard.
 
 count_pm computes the weighted perfect-matching sum exactly. It traces
 the faces once and finds the components and a spanning forest in one
-depth-first search. It orients the whole graph at once, so that in each
-component every face but one has an odd number of darts running against
-the face walk, builds every component's signed skew adjacency matrix as
-sparse rows in one pass over the edges, and multiplies one Pfaffian per
-component. Such an orientation gives every perfect matching of a
-component the same sign tau (negative weights make |Pf| alone
-insufficient). When the caller knows one perfect matching, as the
-matchgate splice does, tau is the sign of that matching's term, an O(n)
-permutation parity. Otherwise a second Pfaffian on the same orientation
-with unit weights equals tau times the number of perfect matchings: it
-is 0 exactly when there is none, and otherwise its sign is tau. The
-components keep separate Pfaffians: in one over the whole graph, every
-later component's fraction-free entries would carry the Pfaffians of
-the earlier ones.
+depth-first search, both in check_genus_zero, the one code that makes
+either; kasteleyn_orient and verify_kasteleyn take what it returned. It
+orients the whole graph at once, so that in each component every face
+but one has an odd number of darts running against the face walk,
+builds every component's signed skew adjacency matrix as sparse rows in
+one pass over the edges, and multiplies one Pfaffian per component.
+Such an orientation gives every perfect matching of a component the
+same sign tau (negative weights make |Pf| alone insufficient). When the
+caller knows one perfect matching, as the matchgate splice does, tau is
+the sign of that matching's term, an O(n) permutation parity. Otherwise
+a second Pfaffian on the same orientation with unit weights equals tau
+times the number of perfect matchings: it is 0 exactly when there is
+none, and otherwise its sign is tau. The components keep separate
+Pfaffians: in one over the whole graph, every later component's
+fraction-free entries would carry the Pfaffians of the earlier ones.
 
 pfaffian takes dense rows or {column: entry} rows and runs one sparse
 fraction-free skew elimination: only the entries where the two pivot
@@ -146,11 +147,6 @@ def _walks(g: PlanarMultigraph) -> list[list[int]]:
     return faces
 
 
-def trace_faces(g: PlanarMultigraph) -> list[list]:
-    """Face walks as lists of darts (edge index, end)."""
-    return [[(dart >> 1, dart & 1) for dart in walk] for walk in _walks(g)]
-
-
 def check_genus_zero(g: PlanarMultigraph) -> tuple[list[list[int]], tuple]:
     """Face walks (as dart codes 2 idx + end) and the spanning forest of
     the embedding, as _forest returns it; raises NotGenusZero unless
@@ -208,16 +204,13 @@ def _forest(g: PlanarMultigraph) -> tuple[list[int], list[bool], list[int]]:
 
 # -- Pfaffian orientation ----------------------------------------------------
 
-def kasteleyn_orient(g: PlanarMultigraph, faces=None, forest=None) -> list[int]:
+def kasteleyn_orient(g: PlanarMultigraph, faces, forest) -> list[int]:
     """Direction per edge (0: as stored u->v, 1: reversed) such that in
     each component every face but the first listed has an odd number of
     darts disagreeing with the edge direction along the face walk. faces
-    and forest are as check_genus_zero returns them. Verified before
-    returning."""
-    if faces is None:
-        faces, forest = check_genus_zero(g)
-    elif forest is None:
-        forest = _forest(g)
+    and forest are what check_genus_zero returned for g, so the caller
+    has checked the genus; count_pm is the one caller in the package.
+    Verified before returning."""
     tree = forest[1]
     face_of = [0] * (2 * len(g.edges))
     for fi, walk in enumerate(faces):
@@ -266,17 +259,13 @@ def kasteleyn_orient(g: PlanarMultigraph, faces=None, forest=None) -> list[int]:
     return orientation
 
 
-def verify_kasteleyn(g: PlanarMultigraph, orientation, faces=None, forest=None) -> bool:
-    """Does at most one face walk per component (dart codes, as
-    check_genus_zero returns them) have an even number of darts against
-    the edges? That is Kasteleyn's condition on the sphere, where any
-    face may be the outer one: each edge runs against exactly one of
+def verify_kasteleyn(g: PlanarMultigraph, orientation, faces, forest) -> bool:
+    """Does at most one face walk per component have an even number of
+    darts against the edges? faces and forest are what check_genus_zero
+    returned for g. That is Kasteleyn's condition on the sphere, where
+    any face may be the outer one: each edge runs against exactly one of
     its two darts, so a component's counts sum to its E and its last
     face's parity follows from the others."""
-    if faces is None:
-        faces, forest = check_genus_zero(g)
-    elif forest is None:
-        forest = _forest(g)
     owner, _, comp = forest
     even = set()                 # components with an even face
     for walk in faces:
@@ -417,7 +406,7 @@ def count_pm(g: PlanarMultigraph, matching=None) -> Scalar:
         size[comp[vi]] += 1
     if any(n % 2 for n in size):
         return Fraction(0)
-    orientation = kasteleyn_orient(g, faces=faces, forest=forest)
+    orientation = kasteleyn_orient(g, faces, forest)
     weighted: list = [[{} for _ in range(n)] for n in size]
     arcs = []                    # (component, tail, head) of each edge
     for idx, (_, _, w) in enumerate(g.edges):

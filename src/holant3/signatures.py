@@ -50,9 +50,6 @@ class SymSig:
     def is_nonnegative(self) -> bool:
         return all(v >= 0 for v in self.values)
 
-    def scaled(self, factor) -> "SymSig":
-        return SymSig([v * factor for v in self.values])
-
     def __iter__(self):
         return iter(self.values)
 
@@ -204,9 +201,6 @@ class Mat2:
                 (a[1][0] * b[0][0] + a[1][1] * b[1][0], a[1][0] * b[0][1] + a[1][1] * b[1][1]),
             )
         )
-
-    def scale(self, factor) -> "Mat2":
-        return Mat2(tuple(tuple(v * factor for v in row) for row in self.rows))
 
     def det(self) -> Scalar:
         return self.rows[0][0] * self.rows[1][1] - self.rows[0][1] * self.rows[1][0]

@@ -17,21 +17,28 @@ from itertools import combinations
 import pytest
 
 import holant3
+from holant3.errors import NotGenusZero
 from holant3.formats import format_grid
 from holant3.grid import SignatureGrid, bipartite_grid
-from holant3.planar import PlanarMultigraph, check_genus_zero, trace_faces
+from holant3.planar import PlanarMultigraph, check_genus_zero
 from holant3.signatures import EQ3, SymSig
+
+
+def package_env() -> dict:
+    """os.environ with the directory of the holant3 the tests import put
+    first on PYTHONPATH, whether it is installed or only on pytest's
+    pythonpath: a child interpreter then imports the same package."""
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(holant3.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
 
 
 def run_cli(args):
     """Run the CLI in a fresh interpreter that imports the same holant3 as
-    the tests, whether it is installed or only on pytest's pythonpath.
-    Returns (exit code, stdout, stderr)."""
-    env = dict(os.environ)
-    src = os.path.dirname(os.path.dirname(holant3.__file__))
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    the tests. Returns (exit code, stdout, stderr)."""
     proc = subprocess.run([sys.executable, "-m", "holant3.cli", *args],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=package_env())
     return proc.returncode, proc.stdout, proc.stderr
 
 
@@ -123,10 +130,10 @@ def apollonian_graph(rng: random.Random, steps: int) -> PlanarMultigraph:
     g = PlanarMultigraph([0, 1, 2], [(0, 1, 1), (1, 2, 1), (2, 0, 1)],
                          {0: [(0, 0), (2, 1)], 1: [(1, 0), (0, 1)], 2: [(2, 0), (1, 1)]})
     for _ in range(steps):
-        triangles = [w for w in trace_faces(g) if len(w) == 3]
+        triangles = [w for w in check_genus_zero(g)[0] if len(w) == 3]
         if not triangles:
             break
-        walk = rng.choice(triangles)
+        walk = [(dart >> 1, dart & 1) for dart in rng.choice(triangles)]
         new = len(g.vertices)
         heads = []
         for idx, d in walk:
@@ -181,6 +188,21 @@ def random_planar_graph(rng: random.Random, max_extra=4, weight_lo=-3, weight_hi
 
 # -- embedded bipartite instances for the holographic pipeline ---------------
 
+def embedded_multigraph(inst) -> PlanarMultigraph:
+    """The rotation system of an embedded grid as a unit-weight planar
+    multigraph on the grid's own vertices: the reference embedding that
+    the planar path's genus check on its composed graph is held to.
+    Each rotation slot's edge end comes from a map built here over the
+    edge list, not from the package's wiring index."""
+    grid = inst.grid
+    end_of = {}
+    for idx, (a, b) in enumerate(grid.edges):
+        end_of[a], end_of[b] = (idx, 0), (idx, 1)
+    rotation = {vid: [end_of[vid, slot] for slot in inst.rotations[vid]] for vid in grid.vertices}
+    edges = [(a[0], b[0], 1) for a, b in grid.edges]
+    return PlanarMultigraph(list(grid.vertices), edges, rotation)
+
+
 def theta_chain_grid(k: int, fsig: SymSig):
     """Cycle L0 R0 L1 R1 ... with each L_i-R_i edge doubled; returns
     (grid, rotations) forming a planar 3-regular bipartite instance."""
@@ -233,7 +255,7 @@ def bead_expand(inst, rng: random.Random):
     rot[rn] = [0, 1, 2]
     rot[ln] = [1, 0, 2]
     out = EmbeddedGrid(g, rot)
-    out.validate_planar()
+    check_genus_zero(embedded_multigraph(out))
     return out
 
 
@@ -246,15 +268,12 @@ def ladder_expand(inst, rng: random.Random):
 
     grid = inst.grid
     f_sig = next(v.sig for v in grid.vertices.values() if all(p == "L" for p in v.polarities))
-    mg = inst.as_multigraph()
-    faces = [w for w in trace_faces(mg) if len({d[0] for d in w}) >= 2]
+    faces, _ = check_genus_zero(embedded_multigraph(inst))
+    faces = [w for w in faces if len({d >> 1 for d in w}) >= 2]
     if not faces:
         return None
     walk = faces[rng.randrange(len(faces))]
-    darts = list({d[0]: d for d in walk}.values())
-    e1, e2 = (darts[0][0], darts[1][0]) if len(darts) >= 2 else (None, None)
-    if e2 is None:
-        return None
+    e1, e2 = list(dict.fromkeys(d >> 1 for d in walk))[:2]     # its first two edges
 
     tag = len([v for v in grid.vertices if isinstance(v, tuple) and v and v[0] == "lad"])
     ln, rn = ("lad", tag, "L"), ("lad", tag, "R")
@@ -285,9 +304,9 @@ def ladder_expand(inst, rng: random.Random):
             rot[rn] = rn_rot
             cand = EmbeddedGrid(g, rot)
             try:
-                cand.validate_planar()
+                check_genus_zero(embedded_multigraph(cand))
                 return cand
-            except Exception:
+            except NotGenusZero:
                 continue
     return None
 

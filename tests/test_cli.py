@@ -1,5 +1,7 @@
 import json
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +15,7 @@ from holant3.signatures import SymSig
 from conftest import (
     bead_ladder_instance,
     left_specs_grid_obj,
+    package_env,
     rand_pure_grid,
     random_planar_graph,
     run_cli,
@@ -646,3 +649,68 @@ def test_bool_slot_and_unhashable_id_are_input_errors(edge, message, tmp_path, c
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("input error:")
         assert message in captured.err
+
+
+def _workload_ops(workload: str, out_dir: Path) -> list:
+    """Write a seed-1 benchmark workload's inputs into out_dir with
+    perfbench/workloads.py, run as a script; returns its ops."""
+    script = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    subprocess.run([sys.executable, str(script), workload, "1", str(out_dir)],
+                   check=True, capture_output=True, env=package_env())
+    return json.loads((out_dir / "ops.json").read_text())
+
+
+def test_output_is_the_same_bytes_under_two_hash_seeds(tmp_path, monkeypatch):
+    """Every command whose output could follow set or dict order of
+    hashed ids prints the same bytes, and exits the same, with
+    PYTHONHASHSEED 0 and 1 on the same inputs."""
+    (tmp_path / "scale").mkdir()
+    (tmp_path / "planar").mkdir()
+    _workload_ops("tractable_scale", tmp_path / "scale")
+    planar_ops = _workload_ops("planar_pipeline", tmp_path / "planar")
+    # 1200 disjoint weight-1 edges: vertex i lies on edge i // 2
+    edges = tmp_path / "edges.json"
+    edges.write_text(json.dumps({
+        "vertices": [{"id": i, "rotation": [[i // 2, i % 2]]} for i in range(2400)],
+        "edges": [[2 * e, 2 * e + 1, "1"] for e in range(1200)]}))
+    # two components, their vertices interleaved: K4 and a weighted square
+    two = tmp_path / "two.json"
+    two.write_text(json.dumps({
+        "vertices": [{"id": "u", "rotation": [[3, 0], [4, 0], [5, 0]]},
+                     {"id": "a", "rotation": [[6, 0], [9, 1]]},
+                     {"id": "t0", "rotation": [[0, 0], [3, 1], [2, 1]]},
+                     {"id": "b", "rotation": [[6, 1], [7, 0]]},
+                     {"id": "t1", "rotation": [[1, 0], [4, 1], [0, 1]]},
+                     {"id": "c", "rotation": [[7, 1], [8, 0]]},
+                     {"id": "t2", "rotation": [[2, 0], [5, 1], [1, 1]]},
+                     {"id": "d", "rotation": [[8, 1], [9, 0]]}],
+        "edges": [["t0", "t1", "1"], ["t1", "t2", "1"], ["t2", "t0", "1"],
+                  ["u", "t0", "1"], ["u", "t1", "1"], ["u", "t2", "1"],
+                  ["a", "b", "2"], ["b", "c", "3"], ["c", "d", "5"], ["d", "a", "7"]]}))
+
+    # in13, in16, in17: the 9000-edge odd affine, generalized-equality and degenerate grids
+    runs = [["solve", "--input", str(tmp_path / "scale" / f"in{n}.json"), "--format", "json"]
+            for n in (13, 16, 17)]
+    # the round's first 14-vertex cover input and first 20-vertex pm-count input
+    for size in (14, "pm.20"):
+        argv = next(op["argv"] for op in planar_ops if op["size"] == size)
+        runs.append([argv[0], "--input", argv[2], "--format", "json"])
+    oracle = ["pm-count", "--input", str(edges), "--oracle"]
+    # the pinned double-hub hit and an exhaustive LR 4/4 miss
+    miss = ["search-gadget", "--signature", "[4,5,6,8]", "--target", "[1,-2,2]",
+            "--max-f", "4", "--max-eq", "4", "--polarities", "LR", "--format", "json"]
+    runs += [oracle,
+             ["pm-count", "--input", str(two), "--format", "json"],
+             ["search-gadget", "--signature", "[0,1,1,0]", "--target", "[3,2,2,3]"],
+             miss]
+
+    outputs = {}
+    for seed in ("0", "1"):
+        monkeypatch.setenv("PYTHONHASHSEED", seed)
+        outputs[seed] = [run_cli(args) for args in runs]
+    for args, first, second in zip(runs, outputs["0"], outputs["1"]):
+        code, out, err = first
+        assert code == 0 and "Traceback" not in out + err, (args, err)
+        assert second[:2] == first[:2], args
+    assert "oracle: match" in outputs["0"][runs.index(oracle)][1].splitlines()
+    assert '"found": "no"' in outputs["0"][runs.index(miss)][1]

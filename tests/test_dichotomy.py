@@ -46,7 +46,7 @@ def test_reversal_and_scaling_invariance():
         cls = classify_ternary(f)
         assert classify_ternary(reverse(f)).verdict == cls.verdict
         scale = rand_positive(rng)
-        assert classify_ternary(f.scaled(scale)).verdict == cls.verdict
+        assert classify_ternary(SymSig([v * scale for v in f])).verdict == cls.verdict
 
 
 def test_binary23_examples():

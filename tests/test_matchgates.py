@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from holant3 import matchgates, planar
-from holant3.errors import NotPlanarInstance, WrongSignatures
+from holant3.errors import NotGenusZero, NotPlanarInstance, WrongSignatures
 from holant3.grid import SignatureGrid, holant
 from holant3.matchgates import (
     ONE_OR_TWO,
@@ -34,6 +34,7 @@ from holant3.signatures import EQ3, SymSig, hadamard_transform
 from conftest import (
     bead_expand,
     bead_ladder_instance,
+    embedded_multigraph,
     ladder_expand,
     planar_union,
     random_embedded_instance,
@@ -143,8 +144,12 @@ def test_nonplanar_rotation_rejected():
     rot = dict(inst.rotations)
     rot[("L", 0)] = [0, 2, 1]  # mirror one vertex: twists the doubled pair
     bad = EmbeddedGrid(inst.grid, rot)
-    with pytest.raises(NotPlanarInstance):
-        holographic_reduce(bad)
+    # the composed graph keeps the input's V - E + F = 4 - 6 + 2
+    with pytest.raises(NotPlanarInstance, match=r"^component 0: V-E\+F = 16-26\+10 != 2$"):
+        solve_planar_moderate_cover(bad)
+    graph, _, _ = holographic_reduce(bad)
+    with pytest.raises(NotGenusZero):
+        count_pm(graph)
 
 
 def _pop_last_edge(grid):
@@ -161,12 +166,13 @@ def _rename_first_l_end(grid):
     (_rename_first_l_end, "edge: unknown vertex 'z'"),
 ])
 def test_as_multigraph_reports_a_malformed_grid_as_validate_does(break_grid, message):
-    """as_multigraph validates the grid it reads, so a broken wiring is
-    validate's GridStructureError naming the faulty port, not a KeyError."""
+    """holographic_reduce validates the grid it splices, so a broken
+    wiring is validate's GridStructureError naming the faulty port, not
+    a KeyError."""
     inst = theta_chain_grid(2, ONE_OR_TWO)
     break_grid(inst.grid)
     with pytest.raises(GridStructureError) as exc:
-        inst.as_multigraph()
+        holographic_reduce(inst)
     assert type(exc.value) is GridStructureError and str(exc.value) == message
 
 
@@ -175,7 +181,7 @@ def test_as_multigraph_refuses_dangling_ports():
     for port in inst.grid.edges.pop():
         inst.grid.mark_dangling(port)
     with pytest.raises(NotPlanarInstance, match="embedded instances must be closed grids"):
-        inst.as_multigraph()
+        holographic_reduce(inst)
 
 
 def test_scalar_accounting():
@@ -296,20 +302,45 @@ def test_spliced_gates_keep_genus_zero():
     check_genus_zero(holographic_reduce(bead_ladder_instance(7, 120))[0])
 
 
-def test_solve_planar_cover_traces_faces_twice(monkeypatch):
-    """Once for the input embedding, once in count_pm for the composed
-    graph; holographic_reduce adds no third check."""
+def test_the_one_genus_check_refuses_exactly_the_nonplanar_inputs():
+    """The splice keeps each component's V - E + F, so count_pm's check
+    on the composed graph refuses exactly the inputs whose own rotation
+    system, built apart from the package by embedded_multigraph, fails
+    the Euler check. Mirroring 0-3 vertices of planar instances draws
+    both kinds; an accepted input counts what the evaluator counts."""
+    rng = random.Random(87)
+    verdicts = []
+    for _ in range(300):
+        inst = random_embedded_instance(rng, ONE_OR_TWO, max_side=6)
+        rotations = dict(inst.rotations)
+        for vid in rng.sample(list(rotations), min(rng.randint(0, 3), len(rotations))):
+            rotations[vid] = rotations[vid][::-1]
+        mirrored = EmbeddedGrid(inst.grid, rotations)
+        try:
+            check_genus_zero(embedded_multigraph(mirrored))
+        except NotGenusZero:
+            with pytest.raises(NotPlanarInstance):
+                solve_planar_moderate_cover(mirrored)
+            verdicts.append("refused")
+        else:
+            assert solve_planar_moderate_cover(mirrored) == holant(mirrored.grid)
+            verdicts.append("accepted")
+    assert 60 < verdicts.count("refused") < 240
+
+
+def test_solve_planar_cover_traces_faces_once(monkeypatch):
+    """count_pm's genus check on the composed graph is the only one:
+    holographic_reduce checks no embedding of its own."""
     calls = []
 
     def counted(g):
         calls.append(len(g.vertices))
         return check_genus_zero(g)
 
-    monkeypatch.setattr(matchgates, "check_genus_zero", counted)
     monkeypatch.setattr(planar, "check_genus_zero", counted)
     inst = theta_chain_grid(2, ONE_OR_TWO)
     assert solve_planar_moderate_cover(inst) == 2
-    assert calls == [4, 16]
+    assert calls == [16]
 
 
 def _gate_matching_instances():
@@ -357,8 +388,8 @@ def test_matching_sign_is_the_pair_permutation_parity():
 def test_pfaffian_runs_once_per_component_of_a_cover_solve(monkeypatch, tmp_path, capsys):
     """solve-planar-cover hands count_pm the gate matching, so each
     component costs one Pfaffian; pm-count knows no matching and still
-    runs two, every unit Pfaffian first. Each genus check makes the one
-    component search, in _forest, that count_pm reuses."""
+    runs two, every unit Pfaffian first. The one genus check makes the
+    one component search, in _forest, that count_pm reuses."""
     pfaffians, component_passes = [], []
     forest = planar._forest
 
@@ -374,13 +405,13 @@ def test_pfaffian_runs_once_per_component_of_a_cover_solve(monkeypatch, tmp_path
     monkeypatch.setattr(planar, "_forest", counted_forest)
 
     assert solve_planar_moderate_cover(theta_chain_grid(2, ONE_OR_TWO)) == 2
-    assert (pfaffians, component_passes) == ([16], [1, 1])    # input embedding, composed graph
+    assert (pfaffians, component_passes) == ([16], [1])
 
     _, _, union = _disjoint_thetas()
     pfaffians.clear()
     component_passes.clear()
     assert solve_planar_moderate_cover(union) == 2 * 2
-    assert (pfaffians, component_passes) == ([16, 32], [1, 1])
+    assert (pfaffians, component_passes) == ([16, 32], [1])
 
     graph, scalar, _ = holographic_reduce(union)
     path = tmp_path / "union.json"

@@ -12,7 +12,6 @@ from holant3.planar import (
     enumerate_pm,
     kasteleyn_orient,
     pfaffian,
-    trace_faces,
     verify_kasteleyn,
 )
 from conftest import apollonian_graph, enumerate_pm_oracle, planar_union, random_planar_graph
@@ -43,11 +42,11 @@ def _k4():
 
 
 def test_face_counts():
-    assert len(trace_faces(_triangle())) == 2
+    assert len(check_genus_zero(_triangle())[0]) == 2
     single = PlanarMultigraph([0, 1], [(0, 1, 1)], {0: [(0, 0)], 1: [(0, 1)]})
-    faces = trace_faces(single)
+    faces, _ = check_genus_zero(single)
     assert len(faces) == 1 and len(faces[0]) == 2
-    assert len(trace_faces(_k4())) == 4
+    assert len(check_genus_zero(_k4())[0]) == 4
 
 
 def test_genus_check_rejects_twisted_k4():
@@ -63,8 +62,9 @@ def test_kasteleyn_verifier_on_random_graphs():
     rng = random.Random(70)
     for _ in range(50):
         g = apollonian_graph(rng, rng.randint(0, 4))
-        orientation = kasteleyn_orient(g)
-        assert verify_kasteleyn(g, orientation)
+        faces, forest = check_genus_zero(g)
+        orientation = kasteleyn_orient(g, faces, forest)
+        assert verify_kasteleyn(g, orientation, faces, forest)
 
 
 def test_kasteleyn_orients_disconnected():
@@ -75,8 +75,7 @@ def test_kasteleyn_orients_disconnected():
     g = planar_union(k4, square)
     faces, forest = check_genus_zero(g)
     assert forest[2] == [0] * 4 + [1] * 4
-    orientation = kasteleyn_orient(g, faces=faces, forest=forest)
-    assert verify_kasteleyn(g, orientation)
+    orientation = kasteleyn_orient(g, faces, forest)
     assert verify_kasteleyn(g, orientation, faces, forest)
     assert count_pm(g) == count_pm(k4) * count_pm(square) == 3 * (2 * 5 + 3 * 7)
 
@@ -188,7 +187,7 @@ def test_orientation_choice_does_not_change_count():
         orientations = set()
         for root in range(len(faces)):
             rotated = faces[root:] + faces[:root]
-            orientation = kasteleyn_orient(g, faces=rotated, forest=forest)
+            orientation = kasteleyn_orient(g, rotated, forest)
             assert verify_kasteleyn(g, orientation, rotated, forest)
             odd = [sum(orientation[d >> 1] != d & 1 for d in walk) % 2 for walk in rotated]
             assert odd == [1 - len(g.vertices) % 2] + [1] * (len(faces) - 1)

@@ -62,7 +62,7 @@ def test_normalize_reconstruction_random():
         except NormalizationUndefined:
             assert f[0] == 0 and f[3] == 0
             continue
-        rebuilt = (reverse(form) if flipped else form).scaled(scalar)
+        rebuilt = SymSig([v * scalar for v in (reverse(form) if flipped else form)])
         assert rebuilt == f and scalar > 0
 
 
