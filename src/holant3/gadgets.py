@@ -7,12 +7,18 @@ powers. The search enumerates isomorphism-reduced small topologies and
 returns one whose contraction matches a target up to a positive scalar.
 
 The canonical form is computed on row ranks, once per orbit rather than
-once per leaf (see _biadjacency_matrices). Measured interleaved in fresh
-interpreters on a 2-core Xeon VM (Python 3.11), an exhaustive miss takes
-9 ms at 4 squares and 4 circles with three L ports, 16 ms with ports LR,
-66 ms at 5 squares and 4 circles and 0.19 s at 5 and 5 with ports LR
-(12 ms, 93 ms, 0.33 s and 10.7 s with a form per leaf on row tuples).
-Contraction is most of the 4/4 and 5/4 misses, about half of 5/5.
+once per leaf (see _biadjacency_matrices). Each candidate's factor graph
+is built straight from its matrix and swept by grid._sweep, with one
+pattern cache per search; its raw table is matched without Fractions,
+and only the gadget returned becomes a SignatureGrid. Measured
+interleaved in fresh interpreters on a 2-core Xeon VM (Python 3.11), an
+exhaustive miss with f = [4,5,6,8] takes 7.2 ms at 4 squares and 4
+circles with three L ports, 18 ms with ports LR, 58 ms at 5 squares and
+4 circles and 0.26 s at 5 and 5 with ports LR, against 14, 30, 87 and
+319 ms in the same runs with a grid built, validated, folded and
+contracted per candidate. The orbit enumeration is now about a quarter
+of the first miss and 55%, 60% and 82% of the other three; the sweep is
+most of the rest, about 80 us a candidate.
 """
 
 from __future__ import annotations
@@ -20,9 +26,8 @@ from __future__ import annotations
 from itertools import permutations, product
 
 from .errors import ArityMismatch, GridStructureError
-from .exact import Scalar
-from .grid import Gadget, SignatureGrid, contract
-from .signatures import EQ3, SymSig, Tensor, sym_to_tensor
+from .grid import FactorGraph, Gadget, SignatureGrid, _scaled, _sweep
+from .signatures import EQ3, SymSig, sym_to_tensor
 
 
 def build_transfer_gadget(f: SymSig) -> Gadget:
@@ -173,23 +178,64 @@ def _grid_from_biadjacency(f: SymSig, matrix: tuple) -> Gadget:
     return g
 
 
-def _matches_up_to_positive_scalar(found: Tensor, target: Tensor) -> bool:
-    if found.arity != target.arity:
-        return False
-    ratio: Scalar | None = None
-    for a, b in zip(found.entries, target.entries):
+def _graph_from_biadjacency(f: SymSig, matrix: tuple) -> FactorGraph:
+    """The factor graph of _grid_from_biadjacency(f, matrix) for n_f >= 1,
+    built straight from the matrix: square i is factor i (also when f is
+    equality-type, which _fold would fold instead), circle j is variable j,
+    and each dangling square port is its own variable, numbered on from
+    n_eq. The dangling ports keep the grid's order, squares' first, so the
+    sweep gives the grid's tensor."""
+    n_f, n_eq = len(matrix), len(matrix[0])
+    variables, shapes, touching, left, ports = [], [], {}, {}, {}
+    x = n_eq                                  # the next dangling square port's variable
+    for i, row in enumerate(matrix):
+        order, shape = [], []
+        for j, count in enumerate(row):
+            if count:
+                shape += [len(order)] * count
+                order.append(j)
+                touching.setdefault(j, []).append(i)
+                left[j] = left.get(j, 0) + 1
+        for _ in range(3 - len(shape)):
+            shape.append(len(order))
+            order.append(x)
+            touching[x] = [i]
+            left[x] = 2                       # this square and the output
+            ports[x] = 1 << (x - n_eq)
+            x += 1
+        variables.append(order)
+        shapes.append(tuple(shape))
+    bit = 1 << (x - n_eq)                     # the circles' dangling ports follow
+    for j, col in enumerate(zip(*matrix)):
+        free = 3 - sum(col)
+        if free:
+            ports[j] = (bit << free) - bit
+            bit <<= free
+            left[j] = left.get(j, 0) + 1
+    return FactorGraph([("f", i) for i in range(n_f)], [f] * n_f, variables, shapes,
+                       touching, left, {}, ports, 1, 1)
+
+
+def _matches_up_to_positive_scalar(table: dict, unit, target: list) -> bool:
+    """Whether the tensor unit * table (dangling pattern -> value, zero
+    where absent) is target times a positive scalar; compared on table's
+    own entries, unit's sign folded in, with no tensor formed."""
+    sign = (unit > 0) - (unit < 0)
+    if not sign:
+        table = {}                            # a zero unit: the all-zero tensor
+    first = None
+    for p, b in enumerate(target):
+        a = table.get(p, 0)
         if not b:
             if a:
                 return False
-            continue
-        r = a / b
-        if ratio is None:
-            ratio = r
-        elif r != ratio:
+        elif first is None:
+            first = a, b
+        elif a * first[1] != first[0] * b:
             return False
-    if ratio is None:  # target identically zero
-        return not any(found.entries)
-    return ratio > 0
+    if first is None:                         # target identically zero
+        return not any(table.values())
+    return sign * first[0] * first[1] > 0
 
 
 def gadget_search(f: SymSig, target, max_f: int, max_eq: int,
@@ -201,10 +247,21 @@ def gadget_search(f: SymSig, target, max_f: int, max_eq: int,
     of L vs R dangling ports is taken from `polarities`, defaulting to
     all L) or a Tensor compared against the canonical dangling order
     (f-side ports first). Returns the gadget, or None when the bounds
-    are exhausted; polarities of the wrong length (ArityMismatch) or
-    with a letter other than L and R (GridStructureError) are refused
-    before the search.
+    are exhausted; an f that is not ternary or polarities of the wrong
+    length (ArityMismatch), or polarities with a letter other than L and
+    R (GridStructureError), are refused before the search.
+
+    A gadget with n_f squares and n_eq circles has 3 n_f - want_l internal
+    L ports and 3 n_eq - want_r internal R ports, so a target is reachable
+    only if the two are equal for some sizes in bounds; an all-L or all-R
+    binary target never is, and returns None at once. Gadgets have at
+    least one square: circles alone are not searched. Each candidate's
+    factor graph is built straight from its biadjacency matrix and swept,
+    with one pattern cache for the whole search; only the gadget returned
+    becomes a SignatureGrid.
     """
+    if f.arity != 3:
+        raise ArityMismatch(f"gadget_search needs a ternary f, got arity {f.arity}")
     d = target.arity
     if polarities is None:
         polarities = tuple("L" for _ in range(d))
@@ -216,20 +273,20 @@ def gadget_search(f: SymSig, target, max_f: int, max_eq: int,
     if d > 3 * (max_f + max_eq):
         return None     # no gadget within the bounds has d dangling ports
     target_tensor = sym_to_tensor(target) if isinstance(target, SymSig) else target
+    entries, _ = _scaled(list(target_tensor.entries))   # a positive rescaling, to integers
     want_l = sum(1 for p in polarities if p == "L")
     want_r = d - want_l
-    for n_f in range(0, max_f + 1):
+    cache: dict = {}
+    for n_f in range(1, max_f + 1):
         for n_eq in range(0, max_eq + 1):
-            if n_f == 0 and n_eq == 0:
-                continue
             # every candidate leaves want_l ports dangling on L and want_r on R
             internal = 3 * n_f - want_l
             if internal < 0 or internal != 3 * n_eq - want_r:
                 continue
             for matrix in _biadjacency_matrices(n_f, n_eq, internal):
-                g = _grid_from_biadjacency(f, matrix)
-                got, _ = contract(g)
-                if ((not isinstance(target, SymSig) or got.is_symmetric())
-                        and _matches_up_to_positive_scalar(got, target_tensor)):
-                    return g
+                # a SymSig target needs no symmetry test: a positive multiple
+                # of its tensor is symmetric
+                if _matches_up_to_positive_scalar(
+                        *_sweep(_graph_from_biadjacency(f, matrix), cache), entries):
+                    return _grid_from_biadjacency(f, matrix)
     return None

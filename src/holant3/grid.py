@@ -6,20 +6,26 @@ are first-class: a port is identified by (vertex, slot). Grids with a
 nonempty ordered dangling list are gadgets; contraction sums out the
 internal edges and leaves a tensor over the dangling ports.
 
-The evaluator folds, orders, then sweeps. The fold reads the wiring that
-SignatureGrid.validate returns and joins the wires (edges and dangling
-ports) that equality-type vertices ([a,0,...,0,b], EQ3 among them) force
-equal into variables, weighted by those a and b. _greedy_order orders the
-other vertices (most variables closed, then fewest opened), and the sweep
-absorbs them in that order into a sparse table from the values of the open
-variables to exact partial sums. Its cost is exponential only in the width
-of that order (Markov & Shi, SICOMP 2008), counted in open equality
-classes, not edges: the table has at most 2^width entries, and the result
-is exact, never rounded. Its one refusal is a table past MAX_LIVE_STATES
-entries (not a count of edges). The independent checks against explicit
-summation over every edge assignment live in the test suite. Builders and
-parse_grid leave the wiring unchecked: validate runs once per grid, in its
-consumer (_eliminate, TractableInstance or holographic_reduce).
+The evaluator folds, then sweeps the factor graph the fold returns.
+_fold reads the wiring that SignatureGrid.validate returns and joins the
+wires (edges and dangling ports) that equality-type vertices ([a,0,...,0,b],
+EQ3 among them) force equal into variables, weighted by those a and b; the
+other vertices become the factors of a FactorGraph, a value that holds each
+factor's signature, variables and slot shape, each variable's factors and
+weight, and the dangling-port masks. _sweep orders the factors by
+_greedy_order (most variables closed, then fewest opened) and absorbs them
+in that order into a sparse table from the values of the open variables to
+exact partial sums; it returns the table by dangling pattern and a unit
+that multiplies it, and _eliminate turns the two into Fractions. The
+gadget search builds its candidates' graphs without a grid and sweeps them
+directly. The sweep's cost is exponential only in the width of the order
+(Markov & Shi, SICOMP 2008), counted in open equality classes, not edges:
+the table has at most 2^width entries, and the result is exact, never
+rounded. Its one refusal is a table past MAX_LIVE_STATES entries (not a
+count of edges). The independent checks against explicit summation over
+every edge assignment live in the test suite. Builders and parse_grid leave
+the wiring unchecked: validate runs once per grid, in its consumer (_fold,
+TractableInstance or holographic_reduce).
 """
 
 from __future__ import annotations
@@ -111,7 +117,7 @@ class SignatureGrid:
         """One pass over the edge and dangling ports; every port is then wired
         or dangling exactly when the ports used number all ports. The per-port
         checks are written out inline: no call per port. Run once per grid by
-        its consumer: _eliminate (holant and contract), TractableInstance and
+        its consumer: _fold (holant and contract), TractableInstance and
         holographic_reduce. Returns the wiring it builds, port -> wire:
         the port's edge index, or m + i for dangling port i (m edges)."""
         vertices, wire = self.vertices, {}
@@ -203,19 +209,27 @@ def _is_equality(sig) -> bool:
     return isinstance(sig, SymSig) and is_generalized_equality(sig)
 
 
+def _scaled(values: list):
+    """values over their least common denominator, and that denominator;
+    values unchanged, over 1, unless every one is a Fraction."""
+    if not all(isinstance(v, Fraction) for v in values):
+        return values, 1
+    scale = lcm(*(v.denominator for v in values))
+    return [v.numerator * (scale // v.denominator) for v in values], scale
+
+
 def _patterns(sig, shape: tuple, k: int):
     """Nonzero values of sig with slot s on variable shape[s]: a list
     [(q, value)] over the k variables (bit j = variable j) and a scale;
     when every value is rational they are integers, scaled by it."""
-    pats = []
+    qs, vals = [], []
     for q in range(1 << k):
         val = sig.value_at(sum(1 << s for s, j in enumerate(shape) if q >> j & 1))
         if val:
-            pats.append((q, val))
-    if not all(isinstance(val, Fraction) for _, val in pats):
-        return pats, 1
-    scale = lcm(*(val.denominator for _, val in pats))
-    return [(q, val.numerator * (scale // val.denominator)) for q, val in pats], scale
+            qs.append(q)
+            vals.append(val)
+    vals, scale = _scaled(vals)
+    return list(zip(qs, vals)), scale
 
 
 def _greedy_order(variables: list, touching: dict, left: dict) -> list:
@@ -247,22 +261,35 @@ def _greedy_order(variables: list, touching: dict, left: dict) -> list:
     return list(done)
 
 
-def _eliminate(grid: SignatureGrid) -> list:
-    """Values of the grid at every dangling pattern (bit i = dangling
-    port i), by one elimination over equality classes.
+@dataclass(slots=True)
+class FactorGraph:
+    """The fold's result and the sweep's input. Factor i is the vertex
+    names[i] with signature sigs[i]; variables[i] lists its variables in
+    order of first slot, and slot s of it reads variables[i][shapes[i][s]].
+    touching[x] lists the factors on variable x in factor order, and left[x]
+    counts them, +1 if x dangles; ports[x] is the mask of x's dangling
+    ports. weight[x] = [w0, w1] weighs x where it is not [1, 1]; const is
+    the product of w0 + w1 over the variables in neither left nor ports, and
+    den divides every value (the weights are scaled to integers by it)."""
+    names: list
+    sigs: list
+    variables: list
+    shapes: list
+    touching: dict
+    left: dict
+    weight: dict
+    ports: dict
+    const: Scalar
+    den: int
+
+
+def _fold(grid: SignatureGrid) -> FactorGraph:
+    """The grid's factor graph, over the wiring that grid.validate returns.
 
     A variable is a class of edges and dangling ports joined through
     equality-type vertices (any [a,0,...,0,b] of arity >= 1), so all its
     ports carry one value, and it weighs the product of its vertices' a
-    at 0 and b at 1. The other vertices are absorbed one at a time into
-    a table {key: partial sum}; a key holds one bit per open variable,
-    one that an absorbed vertex touches and a vertex still to absorb, or
-    the output, touches too. A vertex extends each entry by its nonzero
-    values that agree with the open bits, and the bits of the variables
-    it closes leave the key, so entries with equal futures merge. A
-    variable's weight enters with its first vertex; a variable no vertex
-    touches adds w0 + w1, or its weight at the output if dangling.
-    """
+    at 0 and b at 1. Every other vertex is a factor."""
     wire = grid.validate()
     vertices = grid.vertices
     m, d = len(grid.edges), len(grid.dangling)
@@ -273,12 +300,12 @@ def _eliminate(grid: SignatureGrid) -> list:
             parent[x] = x = parent[parent[x]]
         return x
 
-    factors, equalities = [], []
+    names, equalities = [], []
     for vid, v in vertices.items():
         if not _is_equality(v.sig):
             if not hasattr(v.sig, "value_at"):
                 raise ArityMismatch(f"vertex {vid!r} carries a non-evaluable signature {v.sig!r}")
-            factors.append(vid)
+            names.append(vid)
             continue
         equalities.append(vid)
         r = find(wire[vid, 0])
@@ -286,7 +313,7 @@ def _eliminate(grid: SignatureGrid) -> list:
             x = find(wire[vid, s])
             if x != r:
                 parent[x] = r
-    weight = {}                                                # variable -> [w0, w1] if not [1, 1]
+    weight = {}
     for vid in equalities:
         a, b = vertices[vid].sig.values[0], vertices[vid].sig.values[-1]
         if a != 1 or b != 1:
@@ -295,37 +322,53 @@ def _eliminate(grid: SignatureGrid) -> list:
             w[1] *= b
     den = 1
     for w in weight.values():
-        if all(isinstance(y, Fraction) for y in w):            # integer weights inside
-            scale = lcm(*(y.denominator for y in w))
-            w[:] = [y.numerator * (scale // y.denominator) for y in w]
-            den *= scale
-    # per factor, its variables in slot order and the variable of each slot
-    shapes, touching, left = [], {}, {}     # left: factors still to absorb (+1 if dangling)
-    for i, vid in enumerate(factors):
+        w[:], scale = _scaled(w)                               # integer weights inside
+        den *= scale
+    variables, shapes, touching, left = [], [], {}, {}
+    for i, vid in enumerate(names):
         order: dict = {}
-        shape = tuple(order.setdefault(find(wire[vid, s]), len(order))
-                      for s in range(vertices[vid].arity))
-        shapes.append((list(order), shape))
+        shapes.append(tuple(order.setdefault(find(wire[vid, s]), len(order))
+                            for s in range(vertices[vid].arity)))
+        variables.append(list(order))
         for x in order:
             touching.setdefault(x, []).append(i)
             left[x] = left.get(x, 0) + 1
-    ports: dict = {}                        # dangling variable -> mask of its dangling ports
+    ports: dict = {}
     for i in range(d):
         x = find(m + i)
         ports[x] = ports.get(x, 0) | 1 << i
     for x in ports:
         left[x] = left.get(x, 0) + 1
-    const = 1                               # variables that nothing touches
+    const = 1                                                  # variables that nothing touches
     for x in {find(i) for i in range(m + d)} - left.keys():
         w = weight.get(x, (1, 1))
         const *= w[0] + w[1]
-    cache: dict = {}
+    return FactorGraph(names, [vertices[vid].sig for vid in names], variables, shapes,
+                       touching, left, weight, ports, const, den)
+
+
+def _sweep(graph: FactorGraph, cache: dict):
+    """The graph's exact values by dangling pattern (bit i = dangling port
+    i): a table {pattern: value}, zero where absent, and a unit that
+    multiplies every entry. cache maps (id(sig), shape) to _patterns' result
+    and may be shared by the sweeps of graphs whose signatures stay alive.
+
+    The factors are absorbed in _greedy_order's order into a table {key:
+    partial sum}; a key holds one bit per open variable, one that an
+    absorbed factor touches and a factor still to absorb, or the output,
+    touches too. A factor extends each entry by its nonzero values that
+    agree with the open bits, and the bits of the variables it closes
+    leave the key, so entries with equal futures merge. A variable's
+    weight enters with its first factor; a dangling variable no factor
+    touches enters at the output, with its weight.
+    """
+    weight, ports = graph.weight, graph.ports
+    left = dict(graph.left)
+    den = graph.den
     bit_of, free = {}, []                   # open variable -> key bit; free bits
     table = {0: 1}
-    for i in _greedy_order([xs for xs, _ in shapes], touching, left):
-        vid = factors[i]
-        sig = vertices[vid].sig
-        order, shape = shapes[i]
+    for i in _greedy_order(graph.variables, graph.touching, left):
+        sig, order, shape = graph.sigs[i], graph.variables[i], graph.shapes[i]
         cached = cache.get((id(sig), shape))
         if cached is None:
             cached = cache[id(sig), shape] = _patterns(sig, shape, len(order))
@@ -335,7 +378,7 @@ def _eliminate(grid: SignatureGrid) -> list:
         for x in order:
             left[x] -= 1
             b = bit_of.get(x)
-            if b is None and not left[x]:                      # only this vertex touches it
+            if b is None and not left[x]:                      # only this factor touches it
                 roles.append((0, 0, weight.get(x)))
                 continue
             if b is None:                                      # open it
@@ -372,7 +415,8 @@ def _eliminate(grid: SignatureGrid) -> list:
                 new[k] = new.get(k, 0) + acc * val
             if len(new) > MAX_LIVE_STATES:
                 raise TooManyLiveStates(f"elimination table reached {len(new)} live states "
-                                        f"at vertex {vid!r}, over the limit {MAX_LIVE_STATES}")
+                                        f"at vertex {graph.names[i]!r}, over the limit "
+                                        f"{MAX_LIVE_STATES}")
         table = new
     spread = [(1 << bit_of[x], mask) for x, mask in ports.items() if x in bit_of]
     sums: dict = {}                         # dangling pattern -> value
@@ -382,11 +426,18 @@ def _eliminate(grid: SignatureGrid) -> list:
             if key & kb:
                 p |= mask
         sums[p] = acc
-    for x in ports.keys() - bit_of.keys():  # dangling variables that no vertex touches
+    for x in ports.keys() - bit_of.keys():  # dangling variables that no factor touches
         w = weight.get(x, (1, 1))
         sums = {p | m: acc * w[bit] for p, acc in sums.items() for bit, m in ((0, 0), (1, ports[x]))}
-    unit = Fraction(1, den) * const
-    values = [Fraction(0)] * (1 << d)      # ports of one variable that differ give 0
+    return sums, Fraction(1, den) * graph.const
+
+
+def _eliminate(grid: SignatureGrid) -> list:
+    """Values of the grid at every dangling pattern (bit i = dangling
+    port i): its factor graph, swept, then each entry times the unit.
+    Ports of one variable that differ give 0."""
+    sums, unit = _sweep(_fold(grid), {})
+    values = [Fraction(0)] * (1 << len(grid.dangling))
     for p, acc in sums.items():
         values[p] = unit * acc
     return values

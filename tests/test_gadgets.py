@@ -7,13 +7,15 @@ import pytest
 from holant3.errors import ArityMismatch, GridStructureError
 from holant3.gadgets import (
     _biadjacency_matrices,
+    _graph_from_biadjacency,
+    _grid_from_biadjacency,
     build_double_hub_gadget,
     build_transfer_gadget,
     build_unary_probe,
     gadget_search,
 )
-from holant3.grid import contract
-from holant3.signatures import SymSig, Tensor, jordan, straddled_from_f
+from holant3.grid import SignatureGrid, _sweep, contract
+from holant3.signatures import SymSig, Tensor, jordan, straddled_from_f, sym_to_tensor
 from conftest import rand_positive
 
 
@@ -106,8 +108,6 @@ def test_four_square_gadget_output_families():
     dangling port, square 3 wired to all three circles -- produces both
     of these output families, including the quartic term that only four
     squares can generate."""
-    from holant3.gadgets import _grid_from_biadjacency
-
     matrix = ((0, 1, 1), (1, 0, 1), (1, 1, 0), (1, 1, 1))
     rng = random.Random(23)
 
@@ -237,3 +237,129 @@ def test_gadget_search_misses_an_arity_past_its_bounds_without_building_the_targ
     monkeypatch.setattr(gadgets_module, "sym_to_tensor", no_tensor)
     assert gadget_search(SymSig([1, 2, 3, 5]), SymSig([1] * 31), 4, 5) is None
     assert gadget_search(SymSig([1, 2, 3, 5]), SymSig([1] * 21), 0, 0) is None
+
+
+@pytest.mark.parametrize("f, target", [
+    (SymSig([1, 2]), SymSig([1, 1, 1, 1])),
+    (SymSig([1, 0, 1, 0, 1]), SymSig([1, 0, 1, 0, 1])),
+])
+def test_gadget_search_refuses_a_non_ternary_f_before_searching(f, target, monkeypatch):
+    """The candidates are built for a ternary f, and nothing downstream
+    checks it: a binary or quaternary f is an ArityMismatch before any
+    candidate is built."""
+    import holant3.gadgets as gadgets_module
+
+    def no_search(*args):
+        raise AssertionError("search ran")
+
+    monkeypatch.setattr(gadgets_module, "_biadjacency_matrices", no_search)
+    with pytest.raises(ArityMismatch, match="ternary"):
+        gadget_search(f, target, 2, 2)
+
+
+def _splits():
+    """(n_f, n_eq, total, want_l, want_r) of every candidate set that
+    gadget_search walks with n_f, n_eq <= 4 and 0 to 3 dangling ports."""
+    for d in range(4):
+        for want_l in range(d + 1):
+            for n_f in range(1, 5):
+                for n_eq in range(5):
+                    total = 3 * n_f - want_l
+                    if total >= 0 and total == 3 * n_eq - (d - want_l):
+                        yield n_f, n_eq, total, want_l, d - want_l
+
+
+@pytest.mark.parametrize("f", [SymSig([1, 2, 3, 5]), SymSig([0, 1, 0, 1]),
+                               SymSig([Fraction(1, 2), 1, 0, Fraction(3, 4)]),
+                               SymSig([1, 0, 0, 2])])
+def test_direct_graph_tensor_equals_the_grid_contraction(f):
+    """Each candidate's factor graph, built straight from its matrix and
+    swept with one pattern cache, gives the tensor that contracting the
+    candidate's grid gives, entry for entry, in the grid's dangling order;
+    every L/R split of up to three dangling ports is walked. An
+    equality-type f stays a factor here, where the grid's fold folds it."""
+    cache, checked = {}, 0
+    for n_f, n_eq, total, want_l, want_r in _splits():
+        for matrix in _biadjacency_matrices(n_f, n_eq, total):
+            grid = _grid_from_biadjacency(f, matrix)
+            expected, pols = contract(grid)
+            assert pols == ("L",) * want_l + ("R",) * want_r
+            table, unit = _sweep(_graph_from_biadjacency(f, matrix), cache)
+            got = [unit * table.get(p, 0) for p in range(1 << (want_l + want_r))]
+            assert got == list(expected.entries), (f, matrix)
+            checked += 1
+    assert checked == 144
+
+
+def _reference_gadget_search(f, target, max_f, max_eq, polarities):
+    """The search on grids: every candidate built, contracted, and
+    compared as Fractions, a SymSig target also by symmetry."""
+    d = target.arity
+    want_l = polarities.count("L")
+    target_tensor = sym_to_tensor(target) if isinstance(target, SymSig) else target
+    for n_f in range(max_f + 1):
+        for n_eq in range(max_eq + 1):
+            internal = 3 * n_f - want_l
+            if (n_f, n_eq) == (0, 0) or internal < 0 or internal != 3 * n_eq - (d - want_l):
+                continue
+            for matrix in _biadjacency_matrices(n_f, n_eq, internal):
+                g = _grid_from_biadjacency(f, matrix)
+                got, _ = contract(g)
+                if got.arity != d or (isinstance(target, SymSig) and not got.is_symmetric()):
+                    continue
+                ratios = {a / b for a, b in zip(got.entries, target_tensor.entries) if b}
+                if (all(a == 0 for a, b in zip(got.entries, target_tensor.entries) if not b)
+                        and (len(ratios) == 1 and min(ratios) > 0
+                             or not ratios and not any(got.entries))):
+                    return g
+    return None
+
+
+def test_gadget_search_agrees_with_the_search_on_grids():
+    """Hits, misses, a non-symmetric Tensor target and a negative scalar:
+    the same gadget as the reference search on grids, or None with it."""
+    f = SymSig([1, 2, 3, 5])
+    chain, _ = contract(_grid_from_biadjacency(f, ((2, 1), (1, 1))))
+    assert not chain.is_symmetric()
+    scaled = Tensor(2, [Fraction(3, 7) * v for v in chain.entries])
+    cases = [
+        (f, scaled, 2, 2, "LR"),
+        (f, Tensor(2, [-v for v in chain.entries]), 2, 2, "LR"),
+        (f, Tensor(2, [1, 2, 3, 4]), 2, 2, "LR"),
+        (SymSig([0, 1, 1, 0]), SymSig([6, 4, 4, 6]), 3, 2, "LLL"),
+        (SymSig([0, 1, 1, 0]), SymSig([0, 0, 0, 0]), 2, 2, "LLL"),
+        (SymSig([Fraction(1, 2), 1, 0, Fraction(3, 4)]), SymSig([1, 2, 2, 1]), 3, 3, "LLL"),
+    ]
+    for sig, target, max_f, max_eq, pols in cases:
+        found = gadget_search(sig, target, max_f, max_eq, polarities=pols)
+        expected = _reference_gadget_search(sig, target, max_f, max_eq, pols)
+        assert (found is None) == (expected is None), (sig, target)
+        if found is not None:
+            assert (found.vertices, found.edges, found.dangling) == (
+                expected.vertices, expected.edges, expected.dangling)
+    assert gadget_search(f, scaled, 2, 2, polarities="LR") is not None
+
+
+def test_search_builds_a_grid_only_for_its_hit(monkeypatch):
+    """An exhaustive miss builds no SignatureGrid and neither validates
+    nor contracts one; a hit builds exactly one, the gadget returned."""
+    import holant3.grid as grid_module
+
+    calls = {"init": 0, "validate": 0, "contract": 0}
+    init, validate, contract_ = (SignatureGrid.__init__, SignatureGrid.validate,
+                                 grid_module.contract)
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(SignatureGrid, "__init__", counted("init", init))
+    monkeypatch.setattr(SignatureGrid, "validate", counted("validate", validate))
+    monkeypatch.setattr(grid_module, "contract", counted("contract", contract_))
+    assert gadget_search(SymSig([4, 5, 6, 8]), SymSig([1, -2, 2, 4]), 4, 4) is None
+    assert calls == {"init": 0, "validate": 0, "contract": 0}
+    found = gadget_search(SymSig([0, 1, 1, 0]), SymSig([3, 2, 2, 3]), 3, 2)
+    assert found is not None
+    assert calls == {"init": 1, "validate": 0, "contract": 0}
