@@ -4,12 +4,25 @@ Every command reads structured-text inputs, emits exact values (never
 decimals) and returns distinct exit codes: 0 success, 2 unreadable or
 malformed input, 3 hardness refusal, 4 structural/domain violations.
 Output is deterministic: same input, same bytes.
+
+`main` pauses Python's cyclic garbage collector for the command and
+restores its prior state on the way out, however the command ends. A
+large input makes hundreds of thousands of container objects (the JSON
+document, the grid's ports and edges, the solvers' tables). While they
+pile up, the collector's full passes rescan every one of them, though
+none sits in a reference cycle: refcounting frees them as before. A
+cycle a command did make would stay in memory until the command ends,
+so the commands make none. On seeded 3k-30k-edge `solve` inputs (2-core
+Xeon VM, Python 3.11) the pause cut 9-12% of a command at 3k edges,
+15-34% at 9k and 12% at 30k, mostly in `parse_grid` and `json.load`.
+Other commands did not change.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import json
 import sys
 
@@ -324,8 +337,11 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    # no cyclic collection while the command runs: see the module docstring
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
     try:
+        args = _parser().parse_args(argv)
         _check_counts(args)
         # exact values may run past the interpreter's int/str digit limit
         with any_digits():
@@ -340,6 +356,9 @@ def main(argv=None) -> int:
     except errors.HolantError as e:
         print(f"{type(e).__name__}: {e}", file=sys.stderr)
         return EXIT_DOMAIN
+    finally:
+        if gc_was_enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -148,7 +148,12 @@ def _biadjacency_matrices(n_f: int, n_eq: int, total: int):
             yield from extend(i + 1, remaining - row_sum, counts, acc)
             acc.pop()
 
-    yield from extend(0, total, 0, [])
+    try:
+        yield from extend(0, total, 0, [])
+    finally:
+        # extend's closure holds extend: drop the cycle so that refcounting
+        # frees `seen` even while the CLI pauses the cyclic collector
+        extend = None
 
 
 def _grid_from_biadjacency(f: SymSig, matrix: tuple) -> Gadget:

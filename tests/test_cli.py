@@ -413,6 +413,75 @@ def test_main_leaves_the_digit_limit_as_it_found_it(tmp_path, capsys):
         sys.set_int_max_str_digits(limit)
 
 
+@pytest.mark.parametrize("enabled", [True, False])
+def test_main_leaves_the_collector_as_it_found_it(enabled, tmp_path, capsys, monkeypatch):
+    """main pauses the cyclic collector for the command and restores its
+    state on every exit: 0, 2, 3, 4 and an exception that escapes main."""
+    import gc
+
+    easy, hard = (format_grid(bipartite_grid(SymSig(f), PAIRS_2x2))
+                  for f in ([1, 2, 4, 8], [0, 1, 1, 0]))
+    twice = {"vertices": [{"id": "f", "sig": "[1,0,1,0]", "side": "L"},
+                          {"id": "q", "sig": "EQ3", "side": "R"}],
+             "edges": [["f", 0, "q", 0], ["f", 0, "q", 1], ["f", 2, "q", 2]]}
+    paths = {}
+    for name, text in (("easy", json.dumps(easy)), ("bad", "{not json"),
+                       ("hard", json.dumps(hard)), ("twice", json.dumps(twice))):
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(text)
+    seen = []
+
+    def wrong_holant(grid):
+        seen.append(gc.isenabled())
+        return -1
+
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        for name, code in (("easy", 0), ("bad", 2), ("hard", 3), ("twice", 4)):
+            assert main(["solve", "--input", str(paths[name])]) == code
+            assert gc.isenabled() is enabled
+        with monkeypatch.context() as m:
+            m.setattr(cli, "holant", wrong_holant)
+            with pytest.raises(AssertionError, match="oracle mismatch"):
+                main(["solve", "--input", str(paths["easy"]), "--oracle"])
+        assert gc.isenabled() is enabled and seen == [False]
+    finally:
+        (gc.enable if was else gc.disable)()
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--input", "GRID", "--oracle"],
+    ["eval", "--input", "GRID"],
+    ["search-gadget", "--signature", "[0,1,1,0]", "--target", "[3,2,2,3]",
+     "--max-f", "3", "--max-eq", "2"],
+    ["search-gadget", "--signature", "[4,5,6,8]", "--target", "[1,2,2,1]",
+     "--max-f", "4", "--max-eq", "4", "--polarities", "LLL"],
+    ["interp-demo", "--signature", "[1,2,3,4]", "--occurrences", "2"],
+])
+def test_commands_leave_no_cyclic_garbage(argv, tmp_path, capsys):
+    """With the collector paused, a reference cycle a command makes stays
+    in memory until the command ends; the commands make none (a search's
+    orbit set used to sit in one)."""
+    import gc
+
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps(format_grid(bipartite_grid(SymSig([2, 0, 2, 0]), PAIRS_2x2))))
+    argv = [str(path) if a == "GRID" else a for a in argv]
+    assert main(argv) == 0          # first calls may set up what lives for the process
+    was = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        assert main(argv) == 0
+        assert gc.collect() == 0
+    finally:
+        if was:
+            gc.enable()
+    capsys.readouterr()
+
+
 ORACLE_COMMANDS = {"solve", "pm-count", "solve-planar-cover", "x3c-count"}
 
 

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -214,6 +215,21 @@ def _edge_level_count(grid, f):
     return Fraction(0) if full != hom else Fraction(scale) ** (n // 3) * Fraction(2) ** (n - hom)
 
 
+def _with_reorderings(grid, rng):
+    """The grid, then the same grid with its edge list shuffled, with each
+    edge's ends swapped, and with the equality vertices inserted before
+    the f vertices: solve_affine's bit numbering and row order follow
+    the edge and vertex order."""
+    shuffled = grid.copy()
+    rng.shuffle(shuffled.edges)
+    swapped = grid.copy()
+    swapped.edges = [(b, a) for a, b in grid.edges]
+    eq_first = grid.copy()
+    eq_first.vertices = dict(sorted(eq_first.vertices.items(),
+                                    key=lambda item: item[1].polarities[0] == "L"))
+    return grid, shuffled, swapped, eq_first
+
+
 @pytest.mark.parametrize("edges", [3000, 9000])
 def test_affine_matches_edge_level_rank_on_large_grids(edges):
     rng = random.Random(edges)
@@ -221,7 +237,8 @@ def test_affine_matches_edge_level_rank_on_large_grids(edges):
         f = _affine_sig(rng, parity)
         grid = rand_pure_grid(rng, f, edges // 3)
         assert len(grid.edges) == edges
-        assert solve_affine(TractableInstance(grid, f)) == _edge_level_count(grid, f)
+        for g in _with_reorderings(grid, rng):
+            assert solve_affine(TractableInstance(g, f)) == _edge_level_count(g, f)
 
 
 def test_affine_matches_edge_level_rank_on_unions_with_double_edges():
@@ -235,7 +252,25 @@ def test_affine_matches_edge_level_rank_on_unions_with_double_edges():
         cycle = bipartite_grid(f, [p for i in range(k) for p in ((i, i), (i, i), (i, (i + 1) % k))])
         grid = disjoint_union(*(rand_pure_grid(rng, f, n) for n in (100, 300, 400)), cycle)
         assert len(grid.edges) == 3000
-        assert solve_affine(TractableInstance(grid, f)) == _edge_level_count(grid, f)
+        for g in _with_reorderings(grid, rng):
+            assert solve_affine(TractableInstance(g, f)) == _edge_level_count(g, f)
+
+
+def test_affine_rank_holds_one_unreduced_row_at_a_time():
+    """Traced peak of the 9000-edge affine solve: 1.33 MiB with the rows
+    built one at a time, 2.23 MiB with every row and a 1 << j per
+    column built up front (Python 3.10-3.13)."""
+    rng = random.Random(9000)
+    f = _affine_sig(rng, 0)
+    inst = TractableInstance(rand_pure_grid(rng, f, 3000), f)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        solve_affine(inst)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.75 * 2**20
 
 
 def test_side_lists_are_built_once_in_insertion_order():
