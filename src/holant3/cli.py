@@ -83,7 +83,7 @@ def _emit(report: dict, fmt: str):
 
 # count flags and the least value each takes; below it a search or a
 # demo would run vacuously
-_COUNT_FLOORS = {"occurrences": 1, "max_f": 0, "max_eq": 0}
+_COUNT_FLOORS = {"occurrences": 1, "max_f": 1, "max_eq": 0}
 
 
 def _check_counts(args):

@@ -12,13 +12,21 @@ is built straight from its matrix and swept by grid._sweep, with one
 pattern cache per search; its raw table is matched without Fractions,
 and only the gadget returned becomes a SignatureGrid. Measured
 interleaved in fresh interpreters on a 2-core Xeon VM (Python 3.11), an
-exhaustive miss with f = [4,5,6,8] takes 7.2 ms at 4 squares and 4
-circles with three L ports, 18 ms with ports LR, 58 ms at 5 squares and
-4 circles and 0.26 s at 5 and 5 with ports LR, against 14, 30, 87 and
-319 ms in the same runs with a grid built, validated, folded and
-contracted per candidate. The orbit enumeration is now about a quarter
-of the first miss and 55%, 60% and 82% of the other three; the sweep is
-most of the rest, about 80 us a candidate.
+exhaustive miss with f = [4,5,6,8] and a nonnegative target takes 4 ms
+at 4 squares and 4 circles with three L ports, 9-11 ms with ports LR,
+43 ms at 5 squares and 4 circles and 0.13 s at 5 and 5 with ports LR.
+The orbit enumeration is about a quarter of the first and half or more
+of the others; the sweep is most of the rest, about 80 us a candidate.
+
+A one-signed f settles some targets before the walk. If f's entries all
+have sign s, a gadget with n_f squares sums products of n_f f-values
+(the circles are 0/1), so its entries are zero or of sign s^n_f, and a
+match needs a positive scalar. A target with entries of both strict
+signs is then a miss at once, and so is one with a negative entry over
+a nonnegative f, the paper's class; over a nonpositive f only the sizes
+whose parity of n_f gives the target's sign are walked. Such a miss
+takes about 0.06 ms at any bounds, where the walk took 3.9 ms at LLL
+4/4, 8.7 ms at LR 4/4 and 0.12 s at LR 5/5 (same runs and f).
 """
 
 from __future__ import annotations
@@ -259,7 +267,12 @@ def gadget_search(f: SymSig, target, max_f: int, max_eq: int,
     A gadget with n_f squares and n_eq circles has 3 n_f - want_l internal
     L ports and 3 n_eq - want_r internal R ports, so a target is reachable
     only if the two are equal for some sizes in bounds; an all-L or all-R
-    binary target never is, and returns None at once. Gadgets have at
+    binary target never is, and returns None at once. If f's entries all
+    have sign s (all >= 0, else all <= 0), a gadget with n_f squares has
+    entries that are zero or of sign s^n_f: a target with entries of both
+    strict signs, or with a negative entry over a nonnegative f, returns
+    None at once, and sizes with s^n_f of the wrong sign are skipped. A
+    mixed-sign f and an all-zero target get no such rule. Gadgets have at
     least one square: circles alone are not searched. Each candidate's
     factor graph is built straight from its biadjacency matrix and swept,
     with one pattern cache for the whole search; only the gadget returned
@@ -279,10 +292,18 @@ def gadget_search(f: SymSig, target, max_f: int, max_eq: int,
         return None     # no gadget within the bounds has d dangling ports
     target_tensor = sym_to_tensor(target) if isinstance(target, SymSig) else target
     entries, _ = _scaled(list(target_tensor.entries))   # a positive rescaling, to integers
+    # f's one sign s, 0 if f has both; the sweep's unit is positive, so a
+    # table of n_f squares holds values of sign s^n_f
+    s = 1 if f.is_nonnegative() else -1 if all(v <= 0 for v in f) else 0
+    signs = {v > 0 for v in entries if v}               # the target's strict signs
+    if s and (len(signs) == 2 or s > 0 and signs == {False}):
+        return None
     want_l = sum(1 for p in polarities if p == "L")
     want_r = d - want_l
     cache: dict = {}
     for n_f in range(1, max_f + 1):
+        if s < 0 and signs and signs != {n_f % 2 == 0}:
+            continue
         for n_eq in range(0, max_eq + 1):
             # every candidate leaves want_l ports dangling on L and want_r on R
             internal = 3 * n_f - want_l

@@ -267,11 +267,14 @@ MISS_LR_44_JSON = (
      FOUR_SQUARE_0120_JSON),
     (["--signature", "[1,2,2,4]", "--target", "[1,2,4]", "--max-f", "1", "--max-eq", "1",
       "--polarities", "LR"], TRANSFER_LR_JSON),
-    # exhaustive: a nonnegative f gives no target with both signs, so
-    # every 4 x 4 topology is enumerated and contracted
+    # a nonnegative f contracts only to entries >= 0, so a target with a
+    # negative entry is a miss before any topology is walked
     (["--signature", "[1,2,3,5]", "--target", "[1,-2,3]", "--max-f", "4", "--max-eq", "4",
       "--polarities", "LR"], MISS_LR_44_JSON),
-], ids=["hub_3223", "four_square_0120", "transfer_lr", "miss_lr_44"])
+    # exhaustive: every 4 x 4 topology is enumerated and swept
+    (["--signature", "[1,2,3,5]", "--target", "[2,1,1]", "--max-f", "4", "--max-eq", "4",
+      "--polarities", "LR"], MISS_LR_44_JSON),
+], ids=["hub_3223", "four_square_0120", "transfer_lr", "miss_lr_44", "miss_lr_44_walked"])
 def test_search_gadget_json_output_is_pinned(argv, expected, capsys):
     assert main(["search-gadget", *argv, "--format", "json"]) == 0
     assert capsys.readouterr().out == expected
@@ -375,6 +378,8 @@ def test_verify_identities_takes_no_sampling_flags(flag):
     ["search-gadget", "--signature", "[0,1,1,0]", "--target", "[3,2,2,3]", "--max-eq", "-1"],
     ["interp-demo", "--signature", "[1,2,3,4]", "--occurrences", "0"],
     ["interp-demo", "--signature", "[1,2,3,4]", "--occurrences", "-2"],
+    # gadgets have at least one square: with none the search is vacuous
+    ["search-gadget", "--signature", "[0,1,1,0]", "--target", "[3,2,2,3]", "--max-f", "0"],
 ])
 def test_out_of_range_counts_are_input_errors(argv, capsys):
     assert main(argv) == 2
@@ -765,13 +770,16 @@ def test_output_is_the_same_bytes_under_two_hash_seeds(tmp_path, monkeypatch):
         argv = next(op["argv"] for op in planar_ops if op["size"] == size)
         runs.append([argv[0], "--input", argv[2], "--format", "json"])
     oracle = ["pm-count", "--input", str(edges), "--oracle"]
-    # the pinned double-hub hit and an exhaustive LR 4/4 miss
+    # the pinned double-hub hit, an LR 4/4 miss settled by its signs and
+    # an exhaustive LR 4/4 miss
     miss = ["search-gadget", "--signature", "[4,5,6,8]", "--target", "[1,-2,2]",
             "--max-f", "4", "--max-eq", "4", "--polarities", "LR", "--format", "json"]
+    walked = ["search-gadget", "--signature", "[4,5,6,8]", "--target", "[2,1,1]",
+              "--max-f", "4", "--max-eq", "4", "--polarities", "LR", "--format", "json"]
     runs += [oracle,
              ["pm-count", "--input", str(two), "--format", "json"],
              ["search-gadget", "--signature", "[0,1,1,0]", "--target", "[3,2,2,3]"],
-             miss]
+             miss, walked]
 
     outputs = {}
     for seed in ("0", "1"):
@@ -783,3 +791,4 @@ def test_output_is_the_same_bytes_under_two_hash_seeds(tmp_path, monkeypatch):
         assert second[:2] == first[:2], args
     assert "oracle: match" in outputs["0"][runs.index(oracle)][1].splitlines()
     assert '"found": "no"' in outputs["0"][runs.index(miss)][1]
+    assert '"found": "no"' in outputs["0"][runs.index(walked)][1]

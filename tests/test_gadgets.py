@@ -5,10 +5,13 @@ from itertools import permutations, product
 import pytest
 
 from holant3.errors import ArityMismatch, GridStructureError
+from holant3.exact import sqrt_exact
+from holant3.formats import format_grid
 from holant3.gadgets import (
     _biadjacency_matrices,
     _graph_from_biadjacency,
     _grid_from_biadjacency,
+    _matches_up_to_positive_scalar,
     build_double_hub_gadget,
     build_transfer_gadget,
     build_unary_probe,
@@ -358,8 +361,142 @@ def test_search_builds_a_grid_only_for_its_hit(monkeypatch):
     monkeypatch.setattr(SignatureGrid, "__init__", counted("init", init))
     monkeypatch.setattr(SignatureGrid, "validate", counted("validate", validate))
     monkeypatch.setattr(grid_module, "contract", counted("contract", contract_))
-    assert gadget_search(SymSig([4, 5, 6, 8]), SymSig([1, -2, 2, 4]), 4, 4) is None
+    # a nonnegative target, so the sign test leaves the walk to run
+    assert gadget_search(SymSig([4, 5, 6, 8]), SymSig([2, 1, 1, 1]), 4, 4) is None
     assert calls == {"init": 0, "validate": 0, "contract": 0}
     found = gadget_search(SymSig([0, 1, 1, 0]), SymSig([3, 2, 2, 3]), 3, 2)
     assert found is not None
     assert calls == {"init": 1, "validate": 0, "contract": 0}
+
+
+def _candidates(max_f, max_eq):
+    """(n_f, matrix) of every candidate with 1..max_f squares and 0..max_eq
+    circles, at every total of internal edges, so with every L/R split of
+    its dangling ports."""
+    for n_f in range(1, max_f + 1):
+        for n_eq in range(max_eq + 1):
+            for total in range(3 * min(n_f, n_eq) + 1):
+                for matrix in _biadjacency_matrices(n_f, n_eq, total):
+                    yield n_f, matrix
+
+
+def test_a_one_signed_f_contracts_to_one_signed_entries():
+    """The premise of gadget_search's sign test, checked without it: over
+    a nonnegative f every candidate's entries are >= 0, and over a
+    nonpositive f each nonzero entry has sign (-1)^n_f."""
+    rng = random.Random(25)
+    fs = [SymSig([0, 2, 0, 1]), SymSig([1, 0, 0, 3])]
+    fs += [SymSig([Fraction(rng.choice([0, 0, 1, 2, 3, 5]), rng.randint(1, 3))
+                   for _ in range(4)]) for _ in range(4)]
+    negative = 0
+    for f, s in [(f, 1) for f in fs] + [(SymSig([-v for v in f]), -1) for f in fs]:
+        cache = {}
+        for n_f, matrix in _candidates(3, 3):
+            table, unit = _sweep(_graph_from_biadjacency(f, matrix), cache)
+            for value in table.values():
+                v = unit * value
+                assert not v or (v > 0) == (s ** n_f > 0), (f, matrix)
+                negative += v < 0
+    assert negative
+
+
+def _reference_walk(f, target, max_f, max_eq, polarities):
+    """gadget_search's walk with no pruning by sign: the first candidate
+    whose swept table matches target up to a positive scalar."""
+    d = target.arity
+    want_l = polarities.count("L")
+    tensor = sym_to_tensor(target) if isinstance(target, SymSig) else target
+    cache = {}
+    for n_f in range(1, max_f + 1):
+        for n_eq in range(max_eq + 1):
+            total = 3 * n_f - want_l
+            if total < 0 or total != 3 * n_eq - (d - want_l):
+                continue
+            for matrix in _biadjacency_matrices(n_f, n_eq, total):
+                table, unit = _sweep(_graph_from_biadjacency(f, matrix), cache)
+                if _matches_up_to_positive_scalar(table, unit, list(tensor.entries)):
+                    return _grid_from_biadjacency(f, matrix)
+    return None
+
+
+def test_sign_test_returns_what_the_unpruned_walk_returns():
+    """Over nonnegative, nonpositive and mixed-sign f, one with a QuadExt
+    entry and its negation among them, against targets of mixed signs,
+    all <= 0, all >= 0 and all zero, and against scaled and negated
+    candidate tensors (hits, also at odd n_f over a nonpositive f): the
+    same gadget as the walk with no sign test, or None with it."""
+    rng = random.Random(2025)
+    r2 = sqrt_exact(2)
+    fs = [SymSig([1, 2, 3, 5]), SymSig([0, 1, 0, 2]), SymSig([-1, -2, -3, -5]),
+          SymSig([0, -1, Fraction(-1, 2), 0]), SymSig([1, -2, 0, 3]), SymSig([-1, 0, 1, 2]),
+          SymSig([1, r2, 0, 2]), SymSig([-1, -r2, 0, -2])]
+    ranges = {"mixed": (-3, 3), "nonpositive": (-3, 0), "nonnegative": (0, 3), "zero": (0, 0)}
+    kinds, odd_nonpositive_hits, checked = set(), 0, 0
+    for f in fs:
+        # candidates with at most 4 dangling ports: 3 per vertex, less 2 per edge
+        pool = [(n_f, m) for n_f, m in _candidates(3, 3)
+                if 3 * len(m) + 3 * len(m[0]) - 2 * sum(map(sum, m)) <= 4]
+        for _ in range(30):
+            max_f, max_eq = rng.randint(1, 3), rng.randint(0, 3)
+            kind = rng.choice([*ranges, "hit"])
+            if kind == "hit":
+                n_f, matrix = rng.choice(pool)
+                max_f, max_eq = rng.randint(n_f, 3), rng.randint(len(matrix[0]), 3)
+                got, pols = contract(_grid_from_biadjacency(f, matrix))
+                scale = rng.choice([1, 3, Fraction(2, 5), -1, Fraction(-7, 2)])
+                target = Tensor(got.arity, [scale * v for v in got.entries])
+                polarities = "".join(pols)
+            else:
+                d = rng.randint(1, 3)
+                lo, hi = ranges[kind]
+                values = [rng.randint(lo, hi) for _ in range(d + 1)]
+                if kind == "mixed":
+                    values[:2] = [-1, 2]
+                    rng.shuffle(values)
+                polarities = "".join(rng.choice("LR") for _ in range(d))
+                target = SymSig(values)
+            found = gadget_search(f, target, max_f, max_eq, polarities)
+            expected = _reference_walk(f, target, max_f, max_eq, polarities)
+            assert (None if found is None else format_grid(found)) == (
+                None if expected is None else format_grid(expected)), (f, target, max_f, max_eq)
+            kinds.add((kind, found is not None))
+            odd_nonpositive_hits += (found is not None and not f.is_nonnegative()
+                                     and all(v <= 0 for v in f)
+                                     and sum(vid[0] == "f" for vid in found.vertices) % 2 == 1)
+            checked += 1
+    assert checked == 240 and {("hit", True), ("hit", False), ("mixed", False)} <= kinds
+    assert odd_nonpositive_hits
+
+
+def test_a_certain_sign_miss_walks_no_topology(monkeypatch):
+    """A target no gadget over a one-signed f can reach by its signs is a
+    miss before any topology is walked, at any bounds."""
+    import holant3.gadgets as gadgets_module
+
+    def no_search(*args):
+        raise AssertionError("search ran")
+
+    monkeypatch.setattr(gadgets_module, "_biadjacency_matrices", no_search)
+    assert gadget_search(SymSig([1, 2, 3, 5]), SymSig([1, -1, 1, 1]), 9, 9) is None
+    assert gadget_search(SymSig([1, 2, 3, 5]), SymSig([0, -1, -2, 0]), 9, 9) is None
+    assert gadget_search(SymSig([-1, -2, -3, -5]), Tensor(2, [1, 0, 0, -1]), 9, 9, "LR") is None
+
+
+def test_a_nonpositive_f_walks_only_the_sizes_of_the_target_sign(monkeypatch):
+    """n_f nonpositive squares give entries of sign (-1)^n_f, so a positive
+    target walks only even n_f and a negative one only odd n_f."""
+    import holant3.gadgets as gadgets_module
+
+    walked, real = [], gadgets_module._biadjacency_matrices
+
+    def recorded(n_f, n_eq, total):
+        walked.append((n_f, n_eq))
+        return real(n_f, n_eq, total)
+
+    monkeypatch.setattr(gadgets_module, "_biadjacency_matrices", recorded)
+    f = SymSig([-1, -2, -3, -5])
+    assert gadget_search(f, SymSig([2, 1, 1, 1]), 4, 4) is None
+    assert walked == [(2, 1), (4, 3)]
+    walked.clear()
+    assert gadget_search(f, SymSig([-2, -1, -1, -1]), 4, 4) is None
+    assert walked == [(1, 0), (3, 2)]
