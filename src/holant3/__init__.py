@@ -19,7 +19,7 @@ from .signatures import (
     straddled_from_f,
     sym_to_tensor,
 )
-from .grid import SignatureGrid, Gadget, bipartite_grid, check_arity_mod3, contract, holant
+from .grid import SignatureGrid, bipartite_grid, check_arity_mod3, contract, holant
 from .gadgets import (
     build_double_hub_gadget,
     build_transfer_chain,

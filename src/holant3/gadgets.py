@@ -34,11 +34,11 @@ from __future__ import annotations
 from itertools import permutations, product
 
 from .errors import ArityMismatch, GridStructureError
-from .grid import FactorGraph, Gadget, SignatureGrid, _scaled, _sweep
+from .grid import FactorGraph, SignatureGrid, _scaled, _sweep
 from .signatures import EQ3, SymSig, sym_to_tensor
 
 
-def build_transfer_gadget(f: SymSig) -> Gadget:
+def build_transfer_gadget(f: SymSig) -> SignatureGrid:
     """One square, one circle, a double edge between them; the square's
     remaining port dangles on L, the circle's on R."""
     g = SignatureGrid()
@@ -51,7 +51,7 @@ def build_transfer_gadget(f: SymSig) -> Gadget:
     return g
 
 
-def build_transfer_chain(f: SymSig, s: int) -> Gadget:
+def build_transfer_chain(f: SymSig, s: int) -> SignatureGrid:
     """s transfer gadgets in series; contraction equals the s-th power
     of the straddled matrix."""
     if s < 1:
@@ -69,7 +69,7 @@ def build_transfer_chain(f: SymSig, s: int) -> Gadget:
     return g
 
 
-def build_double_hub_gadget(f: SymSig) -> Gadget:
+def build_double_hub_gadget(f: SymSig) -> SignatureGrid:
     """Three squares, two circles; every square touches both circles
     once and keeps one dangling L port. Contraction is the symmetric
     ternary sum_{z1,z2} prod_i f(v_i, z1, z2)."""
@@ -85,7 +85,7 @@ def build_double_hub_gadget(f: SymSig) -> Gadget:
     return g
 
 
-def build_unary_probe(f: SymSig, u: SymSig) -> Gadget:
+def build_unary_probe(f: SymSig, u: SymSig) -> SignatureGrid:
     """One square, two circles, two copies of the unary u on the left;
     leaves a single dangling R port.
 
@@ -164,7 +164,7 @@ def _biadjacency_matrices(n_f: int, n_eq: int, total: int):
         extend = None
 
 
-def _grid_from_biadjacency(f: SymSig, matrix: tuple) -> Gadget:
+def _grid_from_biadjacency(f: SymSig, matrix: tuple) -> SignatureGrid:
     g = SignatureGrid()
     n_f = len(matrix)
     n_eq = len(matrix[0]) if n_f else 0

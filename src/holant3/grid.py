@@ -164,35 +164,6 @@ class SignatureGrid:
                     raise GridStructureError(f"port ({vid!r},{slot}) neither wired nor dangling")
 
 
-Gadget = SignatureGrid
-
-
-def connected_components(vertices: Iterable, pairs: Iterable[tuple]) -> list[set]:
-    """Vertex sets of the connected components of the graph whose edges
-    join each (u, v) in pairs, in order of first vertex; searched by position."""
-    index = {v: i for i, v in enumerate(vertices)}
-    ids = list(index)
-    adj: list = [[] for _ in ids]
-    for u, v in pairs:
-        i, j = index[u], index[v]
-        adj[i].append(j)
-        adj[j].append(i)
-    seen = [False] * len(ids)
-    comps = []
-    for root in range(len(ids)):
-        if seen[root]:
-            continue
-        seen[root] = True
-        members = [root]
-        for i in members:        # grows while it is read: a breadth-first search
-            for j in adj[i]:
-                if not seen[j]:
-                    seen[j] = True
-                    members.append(j)
-        comps.append({ids[i] for i in members})
-    return comps
-
-
 # -- evaluation -------------------------------------------------------------
 
 # Table entries past which elimination refuses. It bounds memory, not

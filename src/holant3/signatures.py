@@ -17,7 +17,6 @@ from .errors import (
     ArityMismatch,
     NegativeEntry,
     NormalizationUndefined,
-    NotDegenerate,
     ZeroA,
     ZeroDelta,
 )
@@ -150,29 +149,6 @@ def affine_scale(f: SymSig):
     if not x1 and not x3 and x0 == x2:
         return x0
     return x1 if not x0 and not x2 and x1 == x3 else None
-
-
-@dataclass(frozen=True)
-class UnaryCube:
-    """The unary factor of a degenerate ternary signature, held through
-    the only monomials evaluation ever consumes (no cube roots)."""
-
-    cube0: Scalar      # u0^3
-    sq0_u1: Scalar     # u0^2 u1
-    u0_sq1: Scalar     # u0 u1^2
-    cube1: Scalar      # u1^3
-
-    def equality_closure(self) -> Scalar:
-        """Value of ternary equality fed three copies of u: u0^3 + u1^3."""
-        return self.cube0 + self.cube1
-
-
-def decompose_degenerate(f: SymSig) -> UnaryCube:
-    if not is_degenerate(f):
-        raise NotDegenerate(f"{f} is not a tensor cube of a unary")
-    if not f.is_nonnegative():
-        raise NegativeEntry("decomposition is defined for nonnegative signatures")
-    return UnaryCube(f[0], f[1], f[2], f[3])
 
 
 class Mat2:

@@ -1,15 +1,20 @@
 """Polynomial-time solvers for every tractable case, plus a dispatcher.
 
 Instances are closed grids with one ternary signature f on the whole
-left side and ternary equality on the whole right side. The first two
-solvers are linear in the grid, the affine one is one GF(2) elimination.
-Parsing and the instance checks are linear too; the wiring is validated
-once, by TractableInstance. The affine rank is superlinear on random,
-expander-like grids, whose rows fill in. Per stage at 3k / 9k / 30k
-edges (seeded random grids, 2-core Xeon VM, Python 3.11, with the
+left side and ternary equality on the whole right side. The degenerate
+solver is a closed form. The affine and generalized-equality solvers
+share one pass over the edges (_neighbour_numbers) that numbers each f
+vertex's three equality neighbours: the affine one ranks those rows,
+one GF(2) elimination, and the generalized-equality one joins them by
+union-find. Parsing and the instance checks are linear; the wiring is
+validated once, by TractableInstance. The affine rank is superlinear on
+random, expander-like grids, whose rows fill in. Per stage at 3k / 9k /
+30k edges (seeded random grids, 2-core Xeon VM, Python 3.11, with the
 cyclic collector paused as `solve` runs it): json.load 2.3 / 6.2 / 19
 ms, parse_grid 2.3 / 6.2-8.8 / 23 ms, TractableInstance 2.6 / 8-9 / 37
-ms (nearly all of it validate), the affine solve 3.3 / 17-18 / 156 ms.
+ms (nearly all of it validate), the affine solve 3.3 / 17-18 / 156 ms,
+the generalized-equality solve 1.5 / 4-6 / 18-19 ms. The solvers do not
+fold the grid: _fold takes 9-10 / 33-36 / 134-141 ms at those sizes.
 With the collector running, json.load took up to 2.5 / 11 / 24 ms and
 parse_grid up to 3.1 / 16 / 49 ms: its scans were 14-30% of a
 degenerate or generalized-equality op at 3k and 9k edges.
@@ -27,14 +32,14 @@ degenerate or generalized-equality op at 3k and 9k edges.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import FormatError, HardnessRefusal, NotDegenerate, WrongCase
+from .errors import FormatError, HardnessRefusal, NegativeEntry, NotDegenerate, WrongCase
 from .dichotomy import FP, TernaryClassification, classify_ternary
-from .grid import SignatureGrid, connected_components, holant
-from .signatures import (EQ3, SymSig, affine_scale, decompose_degenerate, is_degenerate,
-                         is_generalized_equality)
+from .grid import SignatureGrid, holant
+from .signatures import EQ3, SymSig, affine_scale, is_degenerate, is_generalized_equality
 
 
 @dataclass(frozen=True)
@@ -88,22 +93,48 @@ class TractableInstance:
 
 
 def solve_degenerate(inst: TractableInstance) -> Fraction:
-    if not is_degenerate(inst.f):
-        raise NotDegenerate(f"{inst.f} is not degenerate")
-    u = decompose_degenerate(inst.f)
-    per_vertex = u.equality_closure()          # x0 + x3
-    return per_vertex ** len(inst.right_ids())
+    f = inst.f
+    if not is_degenerate(f):
+        raise NotDegenerate(f"{f} is not degenerate")
+    if not f.is_nonnegative():
+        raise NegativeEntry("decomposition is defined for nonnegative signatures")
+    return (f[0] + f[3]) ** len(inst.right_ids())   # u0^3 + u1^3 per equality vertex
+
+
+def _neighbour_numbers(inst: TractableInstance):
+    """(n, rows): n equality vertices, numbered by first appearance from
+    n - 1 down, and for each f vertex in insertion order the numbers of
+    its three neighbours, in one pass over the edges."""
+    n = len(inst.right_ids())
+    rows = {vid: [] for vid in inst.left_ids()}  # f vertex -> its neighbours' numbers
+    number = {}                                  # equality vertex -> number, n - 1 first
+    for (va, _), (vb, _) in inst.grid.edges:     # every edge joins an f and an equality vertex
+        eq_v, f_v = (vb, va) if va in rows else (va, vb)
+        rows[f_v].append(number.setdefault(eq_v, n - 1 - len(number)))
+    return n, rows.values()
 
 
 def solve_gen_equality(inst: TractableInstance) -> Fraction:
+    """Union-find over the equality vertices, joined through each f
+    vertex's neighbours; a component with n_c f vertices gives
+    x0^n_c + x3^n_c. Every component holds an f vertex."""
     f = inst.f
     if not is_generalized_equality(f):
         raise WrongCase(f"{f} is not a generalized equality")
+    n, rows = _neighbour_numbers(inst)
+    parent = list(range(n))
+
+    def root(i):
+        while parent[i] != i:
+            parent[i] = i = parent[parent[i]]    # path halving
+        return i
+
+    for a, b, c in rows:
+        r = root(a)
+        parent[root(b)] = r
+        parent[root(c)] = r
     total = Fraction(1)
-    left = set(inst.left_ids())
-    pairs = ((a[0], b[0]) for a, b in inst.grid.edges)
-    for comp in connected_components(inst.grid.vertices, pairs):
-        n_c = len(comp & left)
+    for n_c in Counter(root(a) for a, _, _ in rows).values():
         total *= f[0] ** n_c + f[3] ** n_c
     return total
 
@@ -119,8 +150,8 @@ def solve_affine(inst: TractableInstance) -> Fraction:
     and their right sides sum to 0. Only the rank is needed, from one
     elimination with top-bit pivots.
 
-    One pass over the edges lists each f vertex's three neighbours as
-    bit positions, the equality vertices numbered by first appearance
+    _neighbour_numbers lists each f vertex's three neighbours as bit
+    positions, the equality vertices numbered by first appearance
     and the first seen on the top bit. Each row becomes an int just
     before it is reduced, so one unreduced row is alive at a time, and
     the rows are reduced last-first. Numbering and order change only the
@@ -134,15 +165,10 @@ def solve_affine(inst: TractableInstance) -> Fraction:
     if not scale:
         return Fraction(0) if inst.grid.vertices else Fraction(1)
 
-    n = len(inst.right_ids())
-    bits = {vid: [] for vid in inst.left_ids()}  # f vertex -> its neighbours' bit positions
-    bit_of = {}                                  # equality vertex -> bit, n - 1 first
-    for (va, _), (vb, _) in inst.grid.edges:     # every edge joins an f and an equality vertex
-        eq_v, f_v = (vb, va) if va in bits else (va, vb)
-        bits[f_v].append(bit_of.setdefault(eq_v, n - 1 - len(bit_of)))
+    n, rows = _neighbour_numbers(inst)           # neighbour numbers are bit positions
     pivots = [0] * (n + 1)                       # top bit -> row, 0 for none yet
     rank = 0
-    for a, b, c in reversed(bits.values()):      # f is ternary: three neighbours each
+    for a, b, c in reversed(rows):               # f is ternary: three neighbours each
         row = 1 << a ^ 1 << b ^ 1 << c
         while row:
             top = row.bit_length()
@@ -152,7 +178,7 @@ def solve_affine(inst: TractableInstance) -> Fraction:
                 rank += 1
                 break
             row ^= pivot
-    return scale ** len(bits) * Fraction(2) ** (n - rank)
+    return scale ** len(rows) * Fraction(2) ** (n - rank)
 
 
 _SOLVERS = {1: solve_degenerate, 2: solve_gen_equality, 3: solve_affine}

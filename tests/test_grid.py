@@ -15,7 +15,6 @@ from holant3.grid import (
     bipartite_grid,
     check_arity_mod3,
     close_with_unaries,
-    connected_components,
     contract,
     disjoint_union,
     holant,
@@ -517,7 +516,11 @@ def test_equality_classes_match_no_pruning_reference():
                                           for v in set(owners))
         seen["eq_eq_edge"] += any(_is_eq(vs[a[0]].sig) and _is_eq(vs[b[0]].sig)
                                   for a, b in g.edges)
-        for comp in connected_components(vs, [(a[0], b[0]) for a, b in g.edges]):
+        comps = {v: frozenset([v]) for v in vs}   # each vertex's component, merged per edge
+        for a, b in g.edges:
+            merged = comps[a[0]] | comps[b[0]]
+            comps.update(dict.fromkeys(merged, merged))
+        for comp in set(comps.values()):
             if all(_is_eq(vs[v].sig) for v in comp):
                 seen["eq_only_dangling" if set(owners) & comp else "eq_only_closed"] += 1
         eq_values = [x for v in vs.values() if _is_eq(v.sig) for x in v.sig.values]

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from holant3.errors import NormalizationUndefined, NotDegenerate, ZeroA, ZeroDelta
+from holant3.errors import NormalizationUndefined, ZeroA, ZeroDelta
 from holant3.exact import QuadExt
 from holant3.gadgets import build_transfer_chain, build_transfer_gadget
 from holant3.grid import contract
@@ -13,7 +13,6 @@ from holant3.signatures import (
     SymSig,
     Tensor,
     affine_scale,
-    decompose_degenerate,
     eigenvalues,
     hadamard_transform,
     is_degenerate,
@@ -85,16 +84,6 @@ def test_is_degenerate():
         assert is_degenerate(SymSig([1, a, a * a, a ** 3]))
     # one vanishing minor is not enough
     assert not is_degenerate(SymSig([8, 0, 0, 27]))
-
-
-def test_decompose_degenerate():
-    u = decompose_degenerate(SymSig([1, 2, 4, 8]))
-    assert (u.cube0, u.cube1, u.sq0_u1, u.u0_sq1) == (1, 8, 2, 4)
-    assert u.equality_closure() == 9
-    u0 = decompose_degenerate(SymSig([1, 0, 0, 0]))
-    assert (u0.cube0, u0.cube1) == (1, 0)
-    with pytest.raises(NotDegenerate):
-        decompose_degenerate(SymSig([8, 0, 0, 27]))
 
 
 def test_degeneracy_matches_unary_reconstruction_suite():

@@ -1,11 +1,13 @@
 import random
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from holant3.dichotomy import FP, classify_ternary
-from holant3.errors import FormatError, HardnessRefusal, NotDegenerate, WrongCase
+from holant3.errors import FormatError, HardnessRefusal, NegativeEntry, NotDegenerate, WrongCase
+from holant3.exact import QuadExt
 from holant3.grid import SignatureGrid, bipartite_grid, disjoint_union, holant
 from holant3.signatures import EQ3, SymSig, sym_to_tensor
 from holant3.tractable import (
@@ -29,8 +31,11 @@ def test_degenerate_examples():
     assert solve_degenerate(_inst([1, 1, 1, 1], TRIPLE)) == 2
     assert solve_degenerate(_inst([1, 2, 4, 8], PAIRS_2x2)) == 81
     assert solve_degenerate(_inst([1, 0, 0, 0], PAIRS_2x2)) == 1
-    with pytest.raises(NotDegenerate):
-        solve_degenerate(_inst([0, 1, 1, 0], TRIPLE))
+    for f in ([0, 1, 1, 0], [8, 0, 0, 27]):      # [8,0,0,27]: one vanishing minor is not enough
+        with pytest.raises(NotDegenerate):
+            solve_degenerate(_inst(f, TRIPLE))
+    with pytest.raises(NegativeEntry):                 # degenerate: [1,-1] cubed
+        solve_degenerate(_inst([1, -1, 1, -1], TRIPLE))
 
 
 def test_gen_equality_examples():
@@ -41,6 +46,66 @@ def test_gen_equality_examples():
     assert solve_gen_equality(TractableInstance(two, SymSig([5, 0, 0, 7]))) == 144
     with pytest.raises(WrongCase):
         solve_gen_equality(_inst([1, 1, 1, 1], TRIPLE))
+
+
+def _mixed_id_union(rng, parts):
+    """One grid from parts: every vertex renamed to a fresh str, int or
+    tuple id, the vertices of all parts inserted in one shuffled order,
+    and the edges shuffled and listed from either end."""
+    rename, vertices, edges = {}, [], []
+    for pi, part in enumerate(parts):
+        for vid, v in part.vertices.items():
+            k = len(rename)
+            rename[pi, vid] = rng.choice((f"v{k}", k, ("t", k)))
+            vertices.append((rename[pi, vid], v))
+        for (va, sa), (vb, sb) in part.edges:
+            a, b = (rename[pi, va], sa), (rename[pi, vb], sb)
+            edges.append((b, a) if rng.random() < 0.5 else (a, b))
+    rng.shuffle(vertices)
+    rng.shuffle(edges)
+    grid = SignatureGrid()
+    for vid, v in vertices:
+        grid.add_vertex(vid, v.sig, v.polarities)
+    grid.edges = edges
+    return grid
+
+
+def test_gen_equality_matches_evaluator_on_large_unions():
+    """Unions of 1-20 parts at 300-3000 edges: random 3-regular grids,
+    doubled cycles and triple edges, with str, int and tuple ids, against
+    holant, whose fold joins a generalized-equality grid into one
+    weighted variable per component in linear time. End weights are
+    signed rationals and 1 + sqrt(2)."""
+    rng = random.Random(2)
+    built = {"double": 0, "triple": 0, "union": 0, "radical": 0, "str": 0, "int": 0, "tuple": 0}
+    for _ in range(24):
+        ends = [Fraction(rng.randint(-5, 7), rng.randint(1, 4)), QuadExt(1, 1, 2)]
+        rng.shuffle(ends)
+        f = SymSig([ends[0], 0, 0, ends[1] if rng.random() < 0.5 else rng.randint(1, 3)])
+        sizes = [1] * rng.randint(1, 20)              # vertices a side, per part
+        for _ in range(rng.randint(100, 1000) - len(sizes)):
+            sizes[rng.randrange(len(sizes))] += 1
+        parts = []
+        for k in sizes:
+            shape = rng.random()
+            if shape < 0.15:
+                parts.append(bipartite_grid(f, [p for i in range(k) for p in ((i, i),) * 3]))
+            elif shape < 0.4:
+                parts.append(bipartite_grid(f, [p for i in range(k)
+                                                for p in ((i, i), (i, i), (i, (i + 1) % k))]))
+            else:
+                parts.append(rand_pure_grid(rng, f, k))
+        grid = _mixed_id_union(rng, parts)
+        assert 300 <= len(grid.edges) <= 3000
+        multiplicities = set(Counter(frozenset((a[0], b[0])) for a, b in grid.edges).values())
+        built["double"] += 2 in multiplicities
+        built["triple"] += 3 in multiplicities
+        built["union"] += len(parts) > 1
+        built["radical"] += isinstance(f[0], QuadExt) or isinstance(f[3], QuadExt)
+        for kind in (str, int, tuple):
+            built[kind.__name__] += any(type(vid) is kind for vid in grid.vertices)
+        assert solve_gen_equality(TractableInstance(grid, f)) == holant(grid)
+    assert min(built.values()) >= 10, built
 
 
 def test_affine_examples():
