@@ -67,8 +67,8 @@ class ArityMismatch(HolantError):
 
 
 class TooManyLiveStates(HolantError):
-    """Evaluation refused: an elimination table past its live-state
-    limit (grid.MAX_LIVE_STATES), the evaluator's one refusal."""
+    """Evaluation refused: an elimination table, or a dense list of 2^k
+    patterns, past the live-state limit (grid.MAX_LIVE_STATES)."""
 
 
 class NonTernaryVertex(HolantError):

@@ -285,11 +285,16 @@ def format_embedded_grid(inst: EmbeddedGrid) -> dict:
 
 
 def parse_hypergraph(obj):
-    """{"ground": [...], "sets": [[a,b,c], ...]} -> list of sets."""
+    """{"ground": [...], "sets": [[a,b,c], ...]} -> list of sets. sets, each
+    set and ground, if given, are JSON lists: a string would read as its
+    characters and an object as its keys."""
     try:
-        sets = [list(s) for s in obj["sets"]]
+        sets, ground = obj["sets"], obj.get("ground")
+        if not (isinstance(sets, list) and all(isinstance(s, list) for s in sets)
+                and isinstance(ground, (list, type(None)))):
+            raise ParseError("bad hypergraph structure: sets, each set and ground must be lists")
+        sets = [list(s) for s in sets]
         listed = {x for s in sets for x in s}
-        ground = obj.get("ground")
         if ground is not None and set(ground) != listed:
             raise FormatError("ground set disagrees with set contents")
     except (KeyError, TypeError) as e:   # TypeError also for unhashable elements

@@ -34,7 +34,7 @@ from __future__ import annotations
 from itertools import permutations, product
 
 from .errors import ArityMismatch, GridStructureError
-from .grid import FactorGraph, SignatureGrid, _scaled, _sweep
+from .grid import FactorGraph, SignatureGrid, _pattern_count, _scaled, _sweep
 from .signatures import EQ3, SymSig, sym_to_tensor
 
 
@@ -199,34 +199,27 @@ def _graph_from_biadjacency(f: SymSig, matrix: tuple) -> FactorGraph:
     n_eq. The dangling ports keep the grid's order, squares' first, so the
     sweep gives the grid's tensor."""
     n_f, n_eq = len(matrix), len(matrix[0])
-    variables, shapes, touching, left, ports = [], [], {}, {}, {}
-    x = n_eq                                  # the next dangling square port's variable
-    for i, row in enumerate(matrix):
+    variables, shapes, ports = [], [], [0] * n_eq
+    for row in matrix:
         order, shape = [], []
         for j, count in enumerate(row):
             if count:
                 shape += [len(order)] * count
                 order.append(j)
-                touching.setdefault(j, []).append(i)
-                left[j] = left.get(j, 0) + 1
-        for _ in range(3 - len(shape)):
+        for _ in range(3 - len(shape)):       # a dangling square port: a new variable
             shape.append(len(order))
-            order.append(x)
-            touching[x] = [i]
-            left[x] = 2                       # this square and the output
-            ports[x] = 1 << (x - n_eq)
-            x += 1
+            order.append(len(ports))
+            ports.append(1 << (len(ports) - n_eq))
         variables.append(order)
         shapes.append(tuple(shape))
-    bit = 1 << (x - n_eq)                     # the circles' dangling ports follow
+    bit = 1 << (len(ports) - n_eq)            # the circles' dangling ports follow
     for j, col in enumerate(zip(*matrix)):
         free = 3 - sum(col)
         if free:
             ports[j] = (bit << free) - bit
             bit <<= free
-            left[j] = left.get(j, 0) + 1
     return FactorGraph([("f", i) for i in range(n_f)], [f] * n_f, variables, shapes,
-                       touching, left, {}, ports, 1, 1)
+                       [None] * len(ports), ports, 1, 1)
 
 
 def _matches_up_to_positive_scalar(table: dict, unit, target: list) -> bool:
@@ -261,8 +254,9 @@ def gadget_search(f: SymSig, target, max_f: int, max_eq: int,
     all L) or a Tensor compared against the canonical dangling order
     (f-side ports first). Returns the gadget, or None when the bounds
     are exhausted; an f that is not ternary or polarities of the wrong
-    length (ArityMismatch), or polarities with a letter other than L and
-    R (GridStructureError), are refused before the search.
+    length (ArityMismatch), polarities with a letter other than L and R
+    (GridStructureError), or a target of arity k in bounds with 2^k past
+    grid.MAX_LIVE_STATES (TooManyLiveStates) are refused before the search.
 
     A gadget with n_f squares and n_eq circles has 3 n_f - want_l internal
     L ports and 3 n_eq - want_r internal R ports, so a target is reachable
@@ -290,6 +284,7 @@ def gadget_search(f: SymSig, target, max_f: int, max_eq: int,
         raise GridStructureError(f"polarities must be 'L' or 'R', got {polarities!r}")
     if d > 3 * (max_f + max_eq):
         return None     # no gadget within the bounds has d dangling ports
+    _pattern_count(d, f"target of arity {d}")          # refused before the tensor is built
     target_tensor = sym_to_tensor(target) if isinstance(target, SymSig) else target
     entries, _ = _scaled(list(target_tensor.entries))   # a positive rescaling, to integers
     # f's one sign s, 0 if f has both; the sweep's unit is positive, so a

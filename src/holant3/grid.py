@@ -6,26 +6,28 @@ are first-class: a port is identified by (vertex, slot). Grids with a
 nonempty ordered dangling list are gadgets; contraction sums out the
 internal edges and leaves a tensor over the dangling ports.
 
-The evaluator folds, then sweeps the factor graph the fold returns.
-_fold reads the wiring that SignatureGrid.validate returns and joins the
-wires (edges and dangling ports) that equality-type vertices ([a,0,...,0,b],
-EQ3 among them) force equal into variables, weighted by those a and b; the
-other vertices become the factors of a FactorGraph, a value that holds each
-factor's signature, variables and slot shape, each variable's factors and
-weight, and the dangling-port masks. _sweep orders the factors by
-_greedy_order (most variables closed, then fewest opened) and absorbs them
-in that order into a sparse table from the values of the open variables to
-exact partial sums; it returns the table by dangling pattern and a unit
-that multiplies it, and _eliminate turns the two into Fractions. The
-gadget search builds its candidates' graphs without a grid and sweeps them
-directly. The sweep's cost is exponential only in the width of the order
-(Markov & Shi, SICOMP 2008), counted in open equality classes, not edges:
-the table has at most 2^width entries, and the result is exact, never
-rounded. Its one refusal is a table past MAX_LIVE_STATES entries (not a
-count of edges). The independent checks against explicit summation over
-every edge assignment live in the test suite. Builders and parse_grid leave
-the wiring unchecked: validate runs once per grid, in its consumer (_fold,
-TractableInstance or holographic_reduce).
+The evaluator folds, then sweeps the factor graph the fold returns. _fold
+reads the wiring that SignatureGrid.validate returns and joins the wires
+(edges and dangling ports) that equality-type vertices ([a,0,...,0,b], EQ3
+among them) force equal into variables, numbered 0..n-1 and weighted by
+those a and b; the other vertices become the factors of a FactorGraph, a
+value that holds each factor's signature, variables and slot shape, and per
+variable a list entry for its weight and its dangling-port mask. _sweep
+derives from these each variable's factors and open count, orders the
+factors by _greedy_order (most variables closed, then fewest opened) and
+absorbs them in that order into a sparse table from the values of the open
+variables to exact partial sums; it returns the table by dangling pattern
+and a unit that multiplies it, and _eliminate turns the two into Fractions.
+The gadget search builds its candidates' graphs without a grid and sweeps
+them directly. The sweep's cost is exponential only in the width of the
+order (Markov & Shi, SICOMP 2008), counted in open equality classes, not
+edges: the table has at most 2^width entries, and the result is exact,
+never rounded. It refuses a table past MAX_LIVE_STATES entries (not a count
+of edges), and, before it is built, a dense list of 2^k patterns past that
+bound (_pattern_count). The independent checks against explicit summation
+over every edge assignment live in the test suite. Builders and parse_grid
+leave the wiring unchecked: validate runs once per grid, in its consumer
+(_fold, TractableInstance or holographic_reduce).
 """
 
 from __future__ import annotations
@@ -176,8 +178,19 @@ class SignatureGrid:
 MAX_LIVE_STATES = 1 << 20
 
 
-def _is_equality(sig) -> bool:
-    return isinstance(sig, SymSig) and is_generalized_equality(sig)
+def _pattern_count(k: int, what: str) -> int:
+    """2^k, the patterns of k binary values; refused (TooManyLiveStates)
+    past MAX_LIVE_STATES, before a list of that many is built."""
+    if 1 << k > MAX_LIVE_STATES:
+        raise TooManyLiveStates(f"{what}: 2^{k} patterns, over the limit {MAX_LIVE_STATES}")
+    return 1 << k
+
+
+def _root(parent: list, x: int) -> int:
+    """x's class in the union-find forest parent, halving the path."""
+    while parent[x] != x:
+        parent[x] = x = parent[parent[x]]
+    return x
 
 
 def _scaled(values: list):
@@ -189,12 +202,12 @@ def _scaled(values: list):
     return [v.numerator * (scale // v.denominator) for v in values], scale
 
 
-def _patterns(sig, shape: tuple, k: int):
-    """Nonzero values of sig with slot s on variable shape[s]: a list
-    [(q, value)] over the k variables (bit j = variable j) and a scale;
-    when every value is rational they are integers, scaled by it."""
+def _patterns(sig, shape: tuple, k: int, name):
+    """Nonzero values of vertex name's sig with slot s on variable shape[s]:
+    a list [(q, value)] over the k variables (bit j = variable j) and a
+    scale; when every value is rational they are integers, scaled by it."""
     qs, vals = [], []
-    for q in range(1 << k):
+    for q in range(_pattern_count(k, f"vertex {name!r}")):
         val = sig.value_at(sum(1 << s for s, j in enumerate(shape) if q >> j & 1))
         if val:
             qs.append(q)
@@ -203,12 +216,13 @@ def _patterns(sig, shape: tuple, k: int):
     return list(zip(qs, vals)), scale
 
 
-def _greedy_order(variables: list, touching: dict, left: dict) -> list:
+def _greedy_order(variables: list, touching: list, left: list) -> list:
     """Factor positions in absorption order: next the factor of least key
     (-variables it closes, variables it opens, position), off a heap that
-    skips stale keys. variables[i] lists factor i's variables, touching[x]
-    the factors on x, and left[x] counts them (+1 if x dangles)."""
-    left, seen, done = dict(left), set(), {}   # done: absorbed, in order; seen: their variables
+    skips stale keys. variables[i] lists factor i's variables, numbered
+    0..n-1, touching[x] the factors on x, and left[x] counts them (+1 if x
+    dangles)."""
+    left, seen, done = list(left), [False] * len(left), {}  # done: absorbed, in order
     rank = [[0, sum(1 for x in xs if left[x] > 1), i] for i, xs in enumerate(variables)]
     heap = [tuple(r) for r in rank]
     heapq.heapify(heap)
@@ -220,8 +234,8 @@ def _greedy_order(variables: list, touching: dict, left: dict) -> list:
         done[i] = None
         for x in variables[i]:
             left[x] -= 1
-            opens, closes = x not in seen and left[x] > 0, left[x] == 1
-            seen.add(x)
+            opens, closes = not seen[x] and left[x] > 0, left[x] == 1
+            seen[x] = True
             if opens or closes:                                # x's factors' keys change
                 for u in touching[x]:
                     if u not in done:
@@ -234,22 +248,20 @@ def _greedy_order(variables: list, touching: dict, left: dict) -> list:
 
 @dataclass(slots=True)
 class FactorGraph:
-    """The fold's result and the sweep's input. Factor i is the vertex
-    names[i] with signature sigs[i]; variables[i] lists its variables in
-    order of first slot, and slot s of it reads variables[i][shapes[i][s]].
-    touching[x] lists the factors on variable x in factor order, and left[x]
-    counts them, +1 if x dangles; ports[x] is the mask of x's dangling
-    ports. weight[x] = [w0, w1] weighs x where it is not [1, 1]; const is
-    the product of w0 + w1 over the variables in neither left nor ports, and
+    """The fold's result and the sweep's input, over variables numbered
+    0..n-1 with n = len(ports). Factor i is the vertex names[i] with
+    signature sigs[i]; variables[i] lists its variables in order of first
+    slot, and slot s of it reads variables[i][shapes[i][s]]. ports[x] is the
+    mask of x's dangling ports, 0 if none; weight[x] = [w0, w1] weighs x,
+    None for [1, 1]. Every variable is read by a factor or holds a port;
+    const is the product of w0 + w1 over the classes that are neither, and
     den divides every value (the weights are scaled to integers by it)."""
     names: list
     sigs: list
     variables: list
     shapes: list
-    touching: dict
-    left: dict
-    weight: dict
-    ports: dict
+    weight: list
+    ports: list
     const: Scalar
     den: int
 
@@ -260,62 +272,53 @@ def _fold(grid: SignatureGrid) -> FactorGraph:
     A variable is a class of edges and dangling ports joined through
     equality-type vertices (any [a,0,...,0,b] of arity >= 1), so all its
     ports carry one value, and it weighs the product of its vertices' a
-    at 0 and b at 1. Every other vertex is a factor."""
+    at 0 and b at 1. Every other vertex is a factor. The classes get their
+    numbers in order of first use, by the factors and then the ports."""
     wire = grid.validate()
     vertices = grid.vertices
     m, d = len(grid.edges), len(grid.dangling)
     parent = list(range(m + d))                                # union-find over the wires
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = x = parent[parent[x]]
-        return x
-
     names, equalities = [], []
     for vid, v in vertices.items():
-        if not _is_equality(v.sig):
+        if not (isinstance(v.sig, SymSig) and is_generalized_equality(v.sig)):
             if not hasattr(v.sig, "value_at"):
                 raise ArityMismatch(f"vertex {vid!r} carries a non-evaluable signature {v.sig!r}")
             names.append(vid)
             continue
         equalities.append(vid)
-        r = find(wire[vid, 0])
+        r = _root(parent, wire[vid, 0])
         for s in range(1, v.arity):
-            x = find(wire[vid, s])
+            x = _root(parent, wire[vid, s])
             if x != r:
                 parent[x] = r
-    weight = {}
+    weights = {}                                               # root -> [w0, w1]
     for vid in equalities:
         a, b = vertices[vid].sig.values[0], vertices[vid].sig.values[-1]
         if a != 1 or b != 1:
-            w = weight.setdefault(find(wire[vid, 0]), [1, 1])
+            w = weights.setdefault(_root(parent, wire[vid, 0]), [1, 1])
             w[0] *= a
             w[1] *= b
     den = 1
-    for w in weight.values():
+    for w in weights.values():
         w[:], scale = _scaled(w)                               # integer weights inside
         den *= scale
-    variables, shapes, touching, left = [], [], {}, {}
-    for i, vid in enumerate(names):
-        order: dict = {}
-        shapes.append(tuple(order.setdefault(find(wire[vid, s]), len(order))
-                            for s in range(vertices[vid].arity)))
+    number, variables, shapes = {}, [], []                     # number: root -> variable
+    for vid in names:
+        xs = [number.setdefault(_root(parent, wire[vid, s]), len(number))
+              for s in range(vertices[vid].arity)]
+        order: dict = {}                                       # variable -> its place in xs
+        shapes.append(tuple(order.setdefault(x, len(order)) for x in xs))
         variables.append(list(order))
-        for x in order:
-            touching.setdefault(x, []).append(i)
-            left[x] = left.get(x, 0) + 1
-    ports: dict = {}
-    for i in range(d):
-        x = find(m + i)
-        ports[x] = ports.get(x, 0) | 1 << i
-    for x in ports:
-        left[x] = left.get(x, 0) + 1
-    const = 1                                                  # variables that nothing touches
-    for x in {find(i) for i in range(m + d)} - left.keys():
-        w = weight.get(x, (1, 1))
+    dangling = [number.setdefault(_root(parent, m + i), len(number)) for i in range(d)]
+    ports = [0] * len(number)
+    for i, x in enumerate(dangling):
+        ports[x] |= 1 << i
+    const = 1                                                  # classes that nothing reads
+    for r in {_root(parent, i) for i in range(m + d)} - number.keys():
+        w = weights.get(r, (1, 1))
         const *= w[0] + w[1]
     return FactorGraph(names, [vertices[vid].sig for vid in names], variables, shapes,
-                       touching, left, weight, ports, const, den)
+                       [weights.get(r) for r in number], ports, const, den)
 
 
 def _sweep(graph: FactorGraph, cache: dict):
@@ -334,15 +337,20 @@ def _sweep(graph: FactorGraph, cache: dict):
     touches enters at the output, with its weight.
     """
     weight, ports = graph.weight, graph.ports
-    left = dict(graph.left)
+    touching = [[] for _ in ports]          # per variable: its factors, and their count
+    left = [1 if p else 0 for p in ports]   # +1 for the output if it dangles
+    for i, xs in enumerate(graph.variables):
+        for x in xs:
+            touching[x].append(i)
+            left[x] += 1
     den = graph.den
     bit_of, free = {}, []                   # open variable -> key bit; free bits
     table = {0: 1}
-    for i in _greedy_order(graph.variables, graph.touching, left):
+    for i in _greedy_order(graph.variables, touching, left):
         sig, order, shape = graph.sigs[i], graph.variables[i], graph.shapes[i]
         cached = cache.get((id(sig), shape))
         if cached is None:
-            cached = cache[id(sig), shape] = _patterns(sig, shape, len(order))
+            cached = cache[id(sig), shape] = _patterns(sig, shape, len(order), graph.names[i])
         pats, scale = cached
         den *= scale
         roles, mask = [], 0                 # per variable: (bit needed, bit added, weight)
@@ -350,12 +358,12 @@ def _sweep(graph: FactorGraph, cache: dict):
             left[x] -= 1
             b = bit_of.get(x)
             if b is None and not left[x]:                      # only this factor touches it
-                roles.append((0, 0, weight.get(x)))
+                roles.append((0, 0, weight[x]))
                 continue
             if b is None:                                      # open it
                 # the bits in use and the free ones are 0..k-1, so with none free k = len(bit_of)
                 b = bit_of[x] = heapq.heappop(free) if free else len(bit_of)
-                roles.append((0, 1 << b, weight.get(x)))
+                roles.append((0, 1 << b, weight[x]))
                 continue
             mask |= 1 << b
             if not left[x]:                                    # close it
@@ -389,7 +397,7 @@ def _sweep(graph: FactorGraph, cache: dict):
                                         f"at vertex {graph.names[i]!r}, over the limit "
                                         f"{MAX_LIVE_STATES}")
         table = new
-    spread = [(1 << bit_of[x], mask) for x, mask in ports.items() if x in bit_of]
+    spread = [(1 << bit_of[x], mask) for x, mask in enumerate(ports) if x in bit_of]
     sums: dict = {}                         # dangling pattern -> value
     for key, acc in table.items():
         p = 0
@@ -397,18 +405,21 @@ def _sweep(graph: FactorGraph, cache: dict):
             if key & kb:
                 p |= mask
         sums[p] = acc
-    for x in ports.keys() - bit_of.keys():  # dangling variables that no factor touches
-        w = weight.get(x, (1, 1))
-        sums = {p | m: acc * w[bit] for p, acc in sums.items() for bit, m in ((0, 0), (1, ports[x]))}
+    for x, mask in enumerate(ports):        # dangling variables that no factor touches
+        if mask and x not in bit_of:
+            w = weight[x] or (1, 1)
+            sums = {p | m: acc * w[bit] for p, acc in sums.items() for bit, m in ((0, 0), (1, mask))}
     return sums, Fraction(1, den) * graph.const
 
 
 def _eliminate(grid: SignatureGrid) -> list:
     """Values of the grid at every dangling pattern (bit i = dangling
     port i): its factor graph, swept, then each entry times the unit.
-    Ports of one variable that differ give 0."""
-    sums, unit = _sweep(_fold(grid), {})
-    values = [Fraction(0)] * (1 << len(grid.dangling))
+    Ports of one variable that differ give 0. 2^d dangling patterns past
+    MAX_LIVE_STATES are refused before the sweep."""
+    graph = _fold(grid)
+    values = [Fraction(0)] * _pattern_count(len(grid.dangling), "dangling ports")
+    sums, unit = _sweep(graph, {})
     for p, acc in sums.items():
         values[p] = unit * acc
     return values
@@ -417,8 +428,8 @@ def _eliminate(grid: SignatureGrid) -> list:
 def holant(grid: SignatureGrid) -> Scalar:
     """Exact partition function of a closed grid by elimination over its
     equality classes; the cost is exponential in the number of classes
-    open at once, not in the number of edges. Refuses only a table that
-    outgrows MAX_LIVE_STATES (TooManyLiveStates)."""
+    open at once, not in the number of edges. Refuses only a table or a
+    vertex's value patterns past MAX_LIVE_STATES (TooManyLiveStates)."""
     if grid.dangling:
         raise DanglingPorts(f"{len(grid.dangling)} dangling ports; contract() instead")
     return _eliminate(grid)[0]
@@ -427,7 +438,8 @@ def holant(grid: SignatureGrid) -> Scalar:
 def contract(gadget: SignatureGrid):
     """Sum out the internal edges of a gadget in one elimination pass
     over its equality classes, as holant does; the classes that hold a
-    dangling port stay open to the end, and the one refusal is holant's.
+    dangling port stay open to the end. It refuses what holant refuses,
+    and 2^d dangling patterns past MAX_LIVE_STATES.
 
     Returns (tensor, polarities): the tensor is indexed by the dangling
     pattern (bit i = value on dangling port i, following the gadget's

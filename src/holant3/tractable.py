@@ -38,19 +38,20 @@ from fractions import Fraction
 
 from .errors import FormatError, HardnessRefusal, NegativeEntry, NotDegenerate, WrongCase
 from .dichotomy import FP, TernaryClassification, classify_ternary
-from .grid import SignatureGrid, holant
+from .grid import SignatureGrid, _root, holant
 from .signatures import EQ3, SymSig, affine_scale, is_degenerate, is_generalized_equality
 
 
 @dataclass(frozen=True)
 class TractableInstance:
-    """Validates the grid, then classifies its vertices in one pass. Without
-    f, f is the left side's one symmetric signature (else FormatError)."""
+    """Validates the grid, then classifies its vertices in one pass, listing
+    each side's vertex ids in insertion order. Without f, f is the left
+    side's one symmetric signature (else FormatError)."""
 
     grid: SignatureGrid
     f: SymSig | None = None
-    _left: list = field(init=False, repr=False, compare=False)
-    _right: list = field(init=False, repr=False, compare=False)
+    left_ids: list = field(init=False, repr=False, compare=False)    # the f vertices
+    right_ids: list = field(init=False, repr=False, compare=False)   # the equality vertices
 
     def __post_init__(self):
         self.grid.validate()
@@ -80,16 +81,8 @@ class TractableInstance:
         if self.grid.dangling:
             raise WrongCase("instance grids must be closed")
         object.__setattr__(self, "f", f)
-        object.__setattr__(self, "_left", left)
-        object.__setattr__(self, "_right", right)
-
-    def left_ids(self):
-        """The f vertices, in insertion order; listed once, at construction."""
-        return self._left
-
-    def right_ids(self):
-        """The equality vertices, in insertion order; listed once, at construction."""
-        return self._right
+        object.__setattr__(self, "left_ids", left)
+        object.__setattr__(self, "right_ids", right)
 
 
 def solve_degenerate(inst: TractableInstance) -> Fraction:
@@ -98,15 +91,15 @@ def solve_degenerate(inst: TractableInstance) -> Fraction:
         raise NotDegenerate(f"{f} is not degenerate")
     if not f.is_nonnegative():
         raise NegativeEntry("decomposition is defined for nonnegative signatures")
-    return (f[0] + f[3]) ** len(inst.right_ids())   # u0^3 + u1^3 per equality vertex
+    return (f[0] + f[3]) ** len(inst.right_ids)     # u0^3 + u1^3 per equality vertex
 
 
 def _neighbour_numbers(inst: TractableInstance):
     """(n, rows): n equality vertices, numbered by first appearance from
     n - 1 down, and for each f vertex in insertion order the numbers of
     its three neighbours, in one pass over the edges."""
-    n = len(inst.right_ids())
-    rows = {vid: [] for vid in inst.left_ids()}  # f vertex -> its neighbours' numbers
+    n = len(inst.right_ids)
+    rows = {vid: [] for vid in inst.left_ids}    # f vertex -> its neighbours' numbers
     number = {}                                  # equality vertex -> number, n - 1 first
     for (va, _), (vb, _) in inst.grid.edges:     # every edge joins an f and an equality vertex
         eq_v, f_v = (vb, va) if va in rows else (va, vb)
@@ -123,18 +116,12 @@ def solve_gen_equality(inst: TractableInstance) -> Fraction:
         raise WrongCase(f"{f} is not a generalized equality")
     n, rows = _neighbour_numbers(inst)
     parent = list(range(n))
-
-    def root(i):
-        while parent[i] != i:
-            parent[i] = i = parent[parent[i]]    # path halving
-        return i
-
     for a, b, c in rows:
-        r = root(a)
-        parent[root(b)] = r
-        parent[root(c)] = r
+        r = _root(parent, a)
+        parent[_root(parent, b)] = r
+        parent[_root(parent, c)] = r
     total = Fraction(1)
-    for n_c in Counter(root(a) for a, _, _ in rows).values():
+    for n_c in Counter(_root(parent, a) for a, _, _ in rows).values():
         total *= f[0] ** n_c + f[3] ** n_c
     return total
 

@@ -582,6 +582,26 @@ def test_eval_past_live_state_limit_exits_4(tmp_path, capsys, monkeypatch):
     assert captured.err.startswith("TooManyLiveStates:") and "live states" in captured.err
 
 
+def test_dense_pattern_lists_past_the_live_state_limit_exit_4(tmp_path, capsys, monkeypatch):
+    """A contract whose dangling ports, and a search whose target, span
+    more patterns than the live-state limit: exit 4, nothing on stdout."""
+    import holant3.grid as grid_module
+
+    star = {"vertices": [{"id": "q", "sig": "[1,0,0,0,0,1]", "side": "R"}],
+            "edges": [], "dangling": [["q", s] for s in range(5)]}
+    path = tmp_path / "star.json"
+    path.write_text(json.dumps(star))
+    monkeypatch.setattr(grid_module, "MAX_LIVE_STATES", 16)
+    for argv, message in (
+            (["contract", "--input", str(path)], "dangling ports: 2^5 patterns"),
+            (["search-gadget", "--signature", "[1,2,3,5]", "--target", "[1,0,0,0,0,1]"],
+             "target of arity 5: 2^5 patterns")):
+        assert main(argv) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"TooManyLiveStates: {message}, over the limit 16\n"
+
+
 def _write_left_specs(tmp_path, specs):
     path = tmp_path / "grid.json"
     path.write_text(json.dumps(left_specs_grid_obj(specs)))
@@ -665,7 +685,13 @@ def test_non_integer_slots_are_input_errors(edges, dangling, tmp_path, capsys):
 
 @pytest.mark.parametrize("obj", [{"sets": [[1, 2, [3]]]},
                                  {"sets": [[1, 2, {"x": 3}]]},
-                                 {"ground": [[1]], "sets": [[1, 2, 3]]}])
+                                 {"ground": [[1]], "sets": [[1, 2, 3]]},
+                                 {"sets": ["abc", "abd", "acd", "bcd"]},
+                                 {"sets": [{"a": 1, "b": 2, "c": 3}]},
+                                 {"sets": "abc"},
+                                 {"sets": {"s": ["a", "b", "c"]}},
+                                 {"ground": "abcd", "sets": [["a", "b", "c"]]},
+                                 {"ground": {"a": 1}, "sets": [["a", "b", "c"]]}])
 def test_unhashable_set_elements_are_input_errors(obj, tmp_path, capsys):
     path = tmp_path / "sets.json"
     path.write_text(json.dumps(obj))

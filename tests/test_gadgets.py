@@ -4,7 +4,7 @@ from itertools import permutations, product
 
 import pytest
 
-from holant3.errors import ArityMismatch, GridStructureError
+from holant3.errors import ArityMismatch, GridStructureError, TooManyLiveStates
 from holant3.exact import sqrt_exact
 from holant3.formats import format_grid
 from holant3.gadgets import (
@@ -240,6 +240,29 @@ def test_gadget_search_misses_an_arity_past_its_bounds_without_building_the_targ
     monkeypatch.setattr(gadgets_module, "sym_to_tensor", no_tensor)
     assert gadget_search(SymSig([1, 2, 3, 5]), SymSig([1] * 31), 4, 5) is None
     assert gadget_search(SymSig([1, 2, 3, 5]), SymSig([1] * 21), 0, 0) is None
+
+
+def test_gadget_search_refuses_a_target_past_the_live_state_limit_before_building_it(
+        monkeypatch):
+    """A target of arity k within the bounds has a 2^k tensor: past
+    MAX_LIVE_STATES it is refused before the tensor is built. An arity
+    past the bounds is still a miss, and at 2^k = the limit a hit is found."""
+    import holant3.gadgets as gadgets_module
+    import holant3.grid as grid_module
+
+    monkeypatch.setattr(grid_module, "MAX_LIVE_STATES", 16)
+    f = SymSig([1, 2, 3, 5])
+    target, pols = contract(_grid_from_biadjacency(f, ((0, 2), (2, 0))))
+    assert gadget_search(f, target, 2, 2, polarities=pols) is not None
+
+    def no_tensor(*args):
+        raise AssertionError("target tensor built")
+
+    monkeypatch.setattr(gadgets_module, "sym_to_tensor", no_tensor)
+    assert gadget_search(f, SymSig([1] * 31), 4, 5) is None
+    with pytest.raises(TooManyLiveStates) as exc:
+        gadget_search(f, SymSig([1] * 6), 4, 4)
+    assert str(exc.value) == "target of arity 5: 2^5 patterns, over the limit 16"
 
 
 @pytest.mark.parametrize("f, target", [

@@ -21,7 +21,12 @@ from holant3.grid import (
 )
 import holant3.grid as grid_module
 from holant3.exact import QuadExt
-from holant3.gadgets import build_transfer_chain, build_transfer_gadget
+from holant3.gadgets import (
+    _biadjacency_matrices,
+    _graph_from_biadjacency,
+    build_transfer_chain,
+    build_transfer_gadget,
+)
 from holant3.matchgates import solve_planar_moderate_cover
 from holant3.signatures import (
     EQ3,
@@ -375,6 +380,48 @@ def test_live_state_limit_refuses_with_too_many_live_states(monkeypatch):
                               "over the limit 16")
 
 
+def _star(d):
+    """One weighted equality vertex of arity d, every port dangling."""
+    g = SignatureGrid()
+    g.add_vertex("q", SymSig([1] + [0] * (d - 1) + [2]), "R")
+    for s in range(d):
+        g.mark_dangling(("q", s))
+    return g
+
+
+def _dense_pair(k):
+    """Two dense symmetric vertices of arity k joined by k edges."""
+    g = SignatureGrid()
+    g.add_vertex("a", SymSig(list(range(1, k + 2))), "L")
+    g.add_vertex("b", SymSig(list(range(k + 1, 0, -1))), "R")
+    for s in range(k):
+        g.add_edge(("a", s), ("b", s))
+    return g
+
+
+def test_dense_pattern_lists_past_the_live_state_limit_are_refused(monkeypatch):
+    """2^k patterns past MAX_LIVE_STATES are refused before the list is
+    built: a gadget's dangling patterns before the sweep, and a vertex's
+    value patterns before they are read. At 2^k equal to the limit both
+    evaluate."""
+    monkeypatch.setattr(grid_module, "MAX_LIVE_STATES", 16)
+    tensor, _ = contract(_star(4))
+    assert list(tensor.entries) == [1] + [0] * 14 + [2]
+    assert holant(_dense_pair(4)) == _no_pruning_holant(_dense_pair(4))
+
+    def no_sweep(*args):
+        raise AssertionError("swept")
+
+    with monkeypatch.context() as m:
+        m.setattr(grid_module, "_sweep", no_sweep)
+        with pytest.raises(TooManyLiveStates) as exc:
+            contract(_star(5))
+    assert str(exc.value) == "dangling ports: 2^5 patterns, over the limit 16"
+    with pytest.raises(TooManyLiveStates) as exc:
+        holant(_dense_pair(5))
+    assert str(exc.value) == "vertex 'a': 2^5 patterns, over the limit 16"
+
+
 def test_absorption_order_is_pinned(monkeypatch):
     """The greedy order on a seeded 14+14-vertex grid: the equality
     vertices fold into variables, and the f vertices are absorbed in
@@ -392,6 +439,51 @@ def test_absorption_order_is_pinned(monkeypatch):
     factors = [vid for vid in g.vertices if vid[0] == "f"]
     assert [factors[i] for i in orders[0]] == [("f", i) for i in (0, 3, 11, 2, 13, 9, 5, 1, 7,
                                                                   10, 4, 6, 8, 12)]
+
+
+def _check_factor_graph(graph, d):
+    """n = len(ports) variables, each in 0..n-1 and read by a factor or
+    holding a port, one weight entry each, and per-variable port masks
+    that partition the d dangling ports; the number of port-only
+    variables."""
+    n = len(graph.ports)
+    assert len(graph.weight) == n
+    assert all(w is None or len(w) == 2 for w in graph.weight)
+    read = {x for xs in graph.variables for x in xs}
+    assert read <= set(range(n))
+    assert all(x in read or graph.ports[x] for x in range(n))
+    union = 0
+    for mask in graph.ports:
+        assert not union & mask
+        union |= mask
+    assert union == (1 << d) - 1
+    return n - len(read)
+
+
+def test_both_builders_number_the_variables_0_to_n_minus_1():
+    """The fold on seeded grids (closed mixed grids, weighted equality
+    grids with dangling ports, a pure 14+14 grid) and the direct build
+    of every gadget-search candidate up to 3 squares and 3 circles give
+    factor graphs of the integer format."""
+    rng = random.Random(27)
+    port_only = checked = 0
+    while checked < 60:
+        g = _random_mixed_grid(rng) if checked % 2 else _random_equality_grid(rng)
+        if g is None:
+            continue
+        port_only += _check_factor_graph(grid_module._fold(g), len(g.dangling))
+        checked += 1
+    assert port_only
+    _check_factor_graph(grid_module._fold(rand_pure_grid(rng, SymSig([1, 2, 3, 5]), 14)), 0)
+    f, candidates = SymSig([1, 2, 3, 5]), 0
+    for n_f in range(1, 4):
+        for n_eq in range(4):
+            for total in range(3 * min(n_f, n_eq) + 1):
+                for matrix in _biadjacency_matrices(n_f, n_eq, total):
+                    graph = _graph_from_biadjacency(f, matrix)
+                    _check_factor_graph(graph, 3 * (n_f + n_eq) - 2 * total)
+                    candidates += 1
+    assert candidates == 269
 
 
 def _insertion_order(variables, touching, left):

@@ -342,9 +342,9 @@ def test_side_lists_are_built_once_in_insertion_order():
     f = SymSig([1, 0, 1, 0])
     grid = disjoint_union(rand_pure_grid(random.Random(1), f, 5), bipartite_grid(f, TRIPLE))
     inst = TractableInstance(grid, f)
-    assert inst.left_ids() == [vid for vid, v in grid.vertices.items() if v.polarities[0] == "L"]
-    assert inst.right_ids() == [vid for vid, v in grid.vertices.items() if v.polarities[0] == "R"]
-    assert inst.left_ids() is inst.left_ids() and inst.right_ids() is inst.right_ids()
+    assert inst.left_ids == [vid for vid, v in grid.vertices.items() if v.polarities[0] == "L"]
+    assert inst.right_ids == [vid for vid, v in grid.vertices.items() if v.polarities[0] == "R"]
+    assert inst.left_ids is inst.left_ids and inst.right_ids is inst.right_ids
 
 
 def test_instance_without_f_reads_it_from_the_left_side():
