@@ -255,22 +255,22 @@ def gadget_search(f: SymSig, target, max_f: int, max_eq: int,
     (f-side ports first). Returns the gadget, or None when the bounds
     are exhausted; an f that is not ternary or polarities of the wrong
     length (ArityMismatch), polarities with a letter other than L and R
-    (GridStructureError), or a target of arity k in bounds with 2^k past
+    (GridStructureError), or a reachable target of arity k with 2^k past
     grid.MAX_LIVE_STATES (TooManyLiveStates) are refused before the search.
 
     A gadget with n_f squares and n_eq circles has 3 n_f - want_l internal
     L ports and 3 n_eq - want_r internal R ports, so a target is reachable
     only if the two are equal for some sizes in bounds; an all-L or all-R
-    binary target never is, and returns None at once. If f's entries all
-    have sign s (all >= 0, else all <= 0), a gadget with n_f squares has
-    entries that are zero or of sign s^n_f: a target with entries of both
-    strict signs, or with a negative entry over a nonnegative f, returns
-    None at once, and sizes with s^n_f of the wrong sign are skipped. A
-    mixed-sign f and an all-zero target get no such rule. Gadgets have at
-    least one square: circles alone are not searched. Each candidate's
-    factor graph is built straight from its biadjacency matrix and swept,
-    with one pattern cache for the whole search; only the gadget returned
-    becomes a SignatureGrid.
+    binary target never is. An unreachable target returns None at once,
+    before its tensor is built. If f's entries all have sign s (all >= 0,
+    else all <= 0), a gadget with n_f squares has entries that are zero or
+    of sign s^n_f: a target with entries of both strict signs, or with a
+    negative entry over a nonnegative f, returns None at once, and sizes
+    with s^n_f of the wrong sign are skipped. A mixed-sign f and an
+    all-zero target get no such rule. Gadgets have at least one square:
+    circles alone are not searched. Each candidate's factor graph is built
+    straight from its biadjacency matrix and swept, with one pattern cache
+    for the whole search; only the gadget returned becomes a SignatureGrid.
     """
     if f.arity != 3:
         raise ArityMismatch(f"gadget_search needs a ternary f, got arity {f.arity}")
@@ -282,8 +282,13 @@ def gadget_search(f: SymSig, target, max_f: int, max_eq: int,
         raise ArityMismatch(f"{len(polarities)} polarities for a target of arity {d}")
     if not set(polarities) <= {"L", "R"}:
         raise GridStructureError(f"polarities must be 'L' or 'R', got {polarities!r}")
-    if d > 3 * (max_f + max_eq):
-        return None     # no gadget within the bounds has d dangling ports
+    want_l = sum(1 for p in polarities if p == "L")
+    want_r = d - want_l
+    # the sizes in bounds whose candidates leave want_l ports dangling on L and want_r on R
+    sizes = [(n_f, n_eq) for n_f in range(1, max_f + 1) for n_eq in range(max_eq + 1)
+             if want_l <= 3 * n_f and 3 * n_f - want_l == 3 * n_eq - want_r]
+    if not sizes:
+        return None
     _pattern_count(d, f"target of arity {d}")          # refused before the tensor is built
     target_tensor = sym_to_tensor(target) if isinstance(target, SymSig) else target
     entries, _ = _scaled(list(target_tensor.entries))   # a positive rescaling, to integers
@@ -293,21 +298,14 @@ def gadget_search(f: SymSig, target, max_f: int, max_eq: int,
     signs = {v > 0 for v in entries if v}               # the target's strict signs
     if s and (len(signs) == 2 or s > 0 and signs == {False}):
         return None
-    want_l = sum(1 for p in polarities if p == "L")
-    want_r = d - want_l
     cache: dict = {}
-    for n_f in range(1, max_f + 1):
+    for n_f, n_eq in sizes:
         if s < 0 and signs and signs != {n_f % 2 == 0}:
             continue
-        for n_eq in range(0, max_eq + 1):
-            # every candidate leaves want_l ports dangling on L and want_r on R
-            internal = 3 * n_f - want_l
-            if internal < 0 or internal != 3 * n_eq - want_r:
-                continue
-            for matrix in _biadjacency_matrices(n_f, n_eq, internal):
-                # a SymSig target needs no symmetry test: a positive multiple
-                # of its tensor is symmetric
-                if _matches_up_to_positive_scalar(
-                        *_sweep(_graph_from_biadjacency(f, matrix), cache), entries):
-                    return _grid_from_biadjacency(f, matrix)
+        for matrix in _biadjacency_matrices(n_f, n_eq, 3 * n_f - want_l):
+            # a SymSig target needs no symmetry test: a positive multiple
+            # of its tensor is symmetric
+            if _matches_up_to_positive_scalar(
+                    *_sweep(_graph_from_biadjacency(f, matrix), cache), entries):
+                return _grid_from_biadjacency(f, matrix)
     return None

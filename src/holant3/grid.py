@@ -397,7 +397,7 @@ def _sweep(graph: FactorGraph, cache: dict):
                                         f"at vertex {graph.names[i]!r}, over the limit "
                                         f"{MAX_LIVE_STATES}")
         table = new
-    spread = [(1 << bit_of[x], mask) for x, mask in enumerate(ports) if x in bit_of]
+    spread = [(1 << b, ports[x]) for x, b in bit_of.items()]   # only dangling ones stay open
     sums: dict = {}                         # dangling pattern -> value
     for key, acc in table.items():
         p = 0

@@ -594,8 +594,8 @@ def test_dense_pattern_lists_past_the_live_state_limit_exit_4(tmp_path, capsys, 
     monkeypatch.setattr(grid_module, "MAX_LIVE_STATES", 16)
     for argv, message in (
             (["contract", "--input", str(path)], "dangling ports: 2^5 patterns"),
-            (["search-gadget", "--signature", "[1,2,3,5]", "--target", "[1,0,0,0,0,1]"],
-             "target of arity 5: 2^5 patterns")):
+            (["search-gadget", "--signature", "[1,2,3,5]", "--target", "[1,0,0,0,0,0,1]"],
+             "target of arity 6: 2^6 patterns")):
         assert main(argv) == 4
         captured = capsys.readouterr()
         assert captured.out == ""

@@ -231,7 +231,8 @@ def test_gadget_search_refuses_bad_polarities_before_searching(polarities, error
 
 def test_gadget_search_misses_an_arity_past_its_bounds_without_building_the_target(monkeypatch):
     """A gadget has at most 3 (max_f + max_eq) dangling ports, so a wider
-    target is a miss before its 2^arity tensor is built."""
+    target is a miss before its 2^arity tensor is built; so is one that no
+    size in bounds leaves dangling (20 L ports: 3 n_f - 20 != 3 n_eq)."""
     import holant3.gadgets as gadgets_module
 
     def no_tensor(*args):
@@ -240,13 +241,14 @@ def test_gadget_search_misses_an_arity_past_its_bounds_without_building_the_targ
     monkeypatch.setattr(gadgets_module, "sym_to_tensor", no_tensor)
     assert gadget_search(SymSig([1, 2, 3, 5]), SymSig([1] * 31), 4, 5) is None
     assert gadget_search(SymSig([1, 2, 3, 5]), SymSig([1] * 21), 0, 0) is None
+    assert gadget_search(SymSig([1, 2, 3, 5]), SymSig([1] * 21), 9, 9) is None
 
 
 def test_gadget_search_refuses_a_target_past_the_live_state_limit_before_building_it(
         monkeypatch):
-    """A target of arity k within the bounds has a 2^k tensor: past
-    MAX_LIVE_STATES it is refused before the tensor is built. An arity
-    past the bounds is still a miss, and at 2^k = the limit a hit is found."""
+    """A reachable target of arity k has a 2^k tensor: past
+    MAX_LIVE_STATES it is refused before the tensor is built. An
+    unreachable one is still a miss, and at 2^k = the limit a hit is found."""
     import holant3.gadgets as gadgets_module
     import holant3.grid as grid_module
 
@@ -259,10 +261,10 @@ def test_gadget_search_refuses_a_target_past_the_live_state_limit_before_buildin
         raise AssertionError("target tensor built")
 
     monkeypatch.setattr(gadgets_module, "sym_to_tensor", no_tensor)
-    assert gadget_search(f, SymSig([1] * 31), 4, 5) is None
+    assert gadget_search(f, SymSig([1] * 6), 4, 4) is None
     with pytest.raises(TooManyLiveStates) as exc:
-        gadget_search(f, SymSig([1] * 6), 4, 4)
-    assert str(exc.value) == "target of arity 5: 2^5 patterns, over the limit 16"
+        gadget_search(f, SymSig([1] * 7), 4, 4)
+    assert str(exc.value) == "target of arity 6: 2^6 patterns, over the limit 16"
 
 
 @pytest.mark.parametrize("f, target", [

@@ -409,16 +409,18 @@ def test_dense_pattern_lists_past_the_live_state_limit_are_refused(monkeypatch):
     assert list(tensor.entries) == [1] + [0] * 14 + [2]
     assert holant(_dense_pair(4)) == _no_pruning_holant(_dense_pair(4))
 
-    def no_sweep(*args):
-        raise AssertionError("swept")
+    def never(*args):
+        raise AssertionError("built")
 
     with monkeypatch.context() as m:
-        m.setattr(grid_module, "_sweep", no_sweep)
+        m.setattr(grid_module, "_sweep", never)
         with pytest.raises(TooManyLiveStates) as exc:
             contract(_star(5))
     assert str(exc.value) == "dangling ports: 2^5 patterns, over the limit 16"
-    with pytest.raises(TooManyLiveStates) as exc:
-        holant(_dense_pair(5))
+    with monkeypatch.context() as m:
+        m.setattr(SymSig, "value_at", never)
+        with pytest.raises(TooManyLiveStates) as exc:
+            holant(_dense_pair(5))
     assert str(exc.value) == "vertex 'a': 2^5 patterns, over the limit 16"
 
 

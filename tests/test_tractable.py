@@ -344,7 +344,6 @@ def test_side_lists_are_built_once_in_insertion_order():
     inst = TractableInstance(grid, f)
     assert inst.left_ids == [vid for vid, v in grid.vertices.items() if v.polarities[0] == "L"]
     assert inst.right_ids == [vid for vid, v in grid.vertices.items() if v.polarities[0] == "R"]
-    assert inst.left_ids is inst.left_ids and inst.right_ids is inst.right_ids
 
 
 def test_instance_without_f_reads_it_from_the_left_side():
